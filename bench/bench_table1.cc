@@ -1,17 +1,12 @@
-// Search-time scaling trajectory: cold vs block-collapsed vs delta
-// re-solve on the generated transformer_stack family (docs/SCALING.md),
-// the numbers the ROADMAP's BENCH_table1.json trajectory tracks.
+// Search-time scaling trajectory: cold solves of the generated
+// transformer_stack family (docs/BENCHMARKS.md), the numbers the ROADMAP's
+// BENCH_table1.json trajectory tracks.
 //
 // For each N in {8, 100, 1000} (transformer_stack_<N>, 6N + 4 layers):
-//   cold_ms       exact solve, no collapse, no context
-//   collapsed_ms  --collapse-blocks solve (bit-identical by construction;
-//                 re-verified here against the cold strategy and cost)
-//   delta_ms      re-solve after a batch mutation through a DpContext
-//                 primed by a previous solve (ordering/vertex sets reused)
-// Small timings are min-of-3 trials; the N=1000 cold solve is a single
-// trial (seconds of pure compute — measurement noise is far below the
-// gate's band; three trials would triple the stage's wall time for
-// nothing).
+//   cold_ms           exact solve with default options, min of 3 trials
+//   graph_phases_ms   the ordering + dep_sets phases of that trial, read
+//                     from the solver's dp.phase.*_seconds gauges
+//   graph_share       graph_phases_ms / cold_ms
 //
 // Output is one canonical JSON object on stdout (redirect to
 // BENCH_table1.json); human-readable numbers go to stderr. The JSON
@@ -19,18 +14,17 @@
 // diffs against the checked-in baseline (calibration-normalized via
 // cpu_calib_ms, exactly like BENCH_serve.json).
 //
-// Structural claims enforced here (exit 1 on violation, so check.sh fails
-// even before the gate runs):
-//   - collapsed and delta results are bit-identical to the cold solve at
-//     every N (strategy and best_cost);
-//   - the N=1000 collapse speedup is >= 10x (the ROADMAP open-item-2
-//     acceptance bar);
-//   - the N=1000 delta re-solve is sub-second and actually reused tables.
+// Structural claim enforced here (exit 1 on violation, so check.sh fails
+// even before the gate runs): at N = 1000 the ordering and vertex-set
+// phases take under 10% of the solve. Both are near-linear in the graph
+// size, so the solve is dominated by pricing and the table reduce like
+// any other model's.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/metrics.h"
 #include "serve/json.h"
 
 using namespace pase;
@@ -41,34 +35,39 @@ using pase::serve::write_json;
 
 namespace {
 
+/// Largest share of the N = 1000 solve the ordering and dep_sets phases
+/// may take.
+constexpr double kMaxGraphShare = 0.10;
+
 struct Row {
   i64 blocks = 0;
-  double cold_ms = 0.0;
-  double collapsed_ms = 0.0;
-  double delta_ms = 0.0;
-  bool delta_reused = false;
-  bool identical = false;
   i64 layers = 0;
+  double cold_ms = 0.0;
+  double graph_phases_ms = 0.0;
+  bool ok = false;
 };
 
-bool same_result(const DpResult& a, const DpResult& b) {
-  return a.status == b.status && a.best_cost == b.best_cost &&
-         a.strategy == b.strategy;
-}
-
-/// Min-of-`trials` wall time of find_best_strategy; the first trial's
-/// result is kept (all trials are bit-identical — the DP is deterministic).
-double timed_solve(const Graph& graph, const DpOptions& options, int trials,
-                   DpResult* out) {
-  double best = 0.0;
-  for (int t = 0; t < trials; ++t) {
+/// Min-of-3 wall time of find_best_strategy, with the phase split of the
+/// fastest trial.
+Row timed_solve(const Graph& graph, const DpOptions& base) {
+  Row row;
+  row.layers = graph.num_nodes();
+  for (int t = 0; t < 3; ++t) {
+    MetricsRegistry metrics;
+    DpOptions options = base;
+    options.metrics = &metrics;
     const double t0 = now_ms();
-    DpResult r = find_best_strategy(graph, options);
+    const DpResult r = find_best_strategy(graph, options);
     const double ms = now_ms() - t0;
-    if (t == 0) *out = std::move(r);
-    if (t == 0 || ms < best) best = ms;
+    if (t == 0 || ms < row.cold_ms) {
+      row.cold_ms = ms;
+      row.graph_phases_ms =
+          1e3 * (metrics.gauge("dp.phase.ordering_seconds") +
+                 metrics.gauge("dp.phase.dep_sets_seconds"));
+    }
+    row.ok = r.status == DpStatus::kOk;
   }
-  return best;
+  return row;
 }
 
 }  // namespace
@@ -79,82 +78,36 @@ int main() {
                calib_ms);
 
   const MachineSpec machine = MachineSpec::gtx1080ti(8);
-  const std::vector<i64> family = {8, 100, 1000};
+  const DpOptions options = bench::dp_options(machine);
   bool ok = true;
   std::vector<Row> rows;
 
-  std::fprintf(stderr, "%-24s %6s %12s %12s %12s %9s\n", "model", "layers",
-               "cold(ms)", "collapsed", "delta(ms)", "speedup");
-  for (const i64 n : family) {
-    Row row;
+  std::fprintf(stderr, "%-24s %6s %12s %14s %8s\n", "model", "layers",
+               "cold(ms)", "graph(ms)", "share");
+  for (const i64 n : {8, 100, 1000}) {
+    Row row = timed_solve(models::transformer_stack(n), options);
     row.blocks = n;
-    const Graph graph = models::transformer_stack(n);
-    const Graph mutated = models::transformer_stack(n, /*batch=*/16);
-    row.layers = graph.num_nodes();
-    // Cold solves of the thousand-layer instance take seconds each; one
-    // trial is plenty there (see the file comment).
-    const int cold_trials = n <= 100 ? 3 : 1;
-
-    const DpOptions cold_options = bench::dp_options(machine);
-    DpOptions collapsed_options = cold_options;
-    collapsed_options.collapse_blocks = true;
-
-    DpResult cold, collapsed;
-    row.cold_ms = timed_solve(graph, cold_options, cold_trials, &cold);
-    row.collapsed_ms = timed_solve(graph, collapsed_options, 3, &collapsed);
-    row.identical = same_result(cold, collapsed);
-
-    // Delta: prime a context with a collapsed solve of the original
-    // graph, then re-solve the batch-mutated instance (same adjacency)
-    // through it. Every trial reuses the stored ordering/vertex sets.
-    DpContext context;
-    DpOptions delta_options = collapsed_options;
-    delta_options.context = &context;
-    DpResult primed, delta, delta_cold;
-    timed_solve(graph, delta_options, 1, &primed);
-    row.delta_ms = timed_solve(mutated, delta_options, 3, &delta);
-    row.delta_reused = delta.reused_tables;
-    // The delta result must match a context-free solve of the mutated
-    // instance (collapsed — its bit-identity to cold was just checked).
-    timed_solve(mutated, collapsed_options, 1, &delta_cold);
-    row.identical = row.identical && same_result(delta, delta_cold);
-
-    const double speedup =
-        row.collapsed_ms > 0 ? row.cold_ms / row.collapsed_ms : 0.0;
-    std::fprintf(stderr, "transformer_stack_%-6lld %6lld %12.1f %12.1f "
-                 "%12.1f %8.1fx%s%s\n",
+    std::fprintf(stderr, "transformer_stack_%-6lld %6lld %12.1f %14.2f "
+                 "%7.1f%%\n",
                  static_cast<long long>(n),
                  static_cast<long long>(row.layers), row.cold_ms,
-                 row.collapsed_ms, row.delta_ms, speedup,
-                 row.identical ? "" : "  NOT BIT-IDENTICAL",
-                 row.delta_reused ? "" : "  DELTA-DID-NOT-REUSE");
-    if (!row.identical) {
-      std::fprintf(stderr,
-                   "FAIL: collapsed/delta solve differs from cold at N=%lld\n",
+                 row.graph_phases_ms,
+                 100.0 * row.graph_phases_ms / row.cold_ms);
+    if (!row.ok) {
+      std::fprintf(stderr, "FAIL: transformer_stack_%lld did not solve\n",
                    static_cast<long long>(n));
-      ok = false;
-    }
-    if (!row.delta_reused) {
-      std::fprintf(stderr, "FAIL: delta re-solve missed the context at "
-                   "N=%lld\n", static_cast<long long>(n));
       ok = false;
     }
     rows.push_back(row);
   }
 
   const Row& big = rows.back();
-  const double big_speedup =
-      big.collapsed_ms > 0 ? big.cold_ms / big.collapsed_ms : 0.0;
-  if (big_speedup < 10.0) {
+  const double big_share = big.graph_phases_ms / big.cold_ms;
+  if (!(big_share < kMaxGraphShare)) {
     std::fprintf(stderr,
-                 "FAIL: N=1000 collapse speedup %.1fx is below the 10x bar\n",
-                 big_speedup);
-    ok = false;
-  }
-  if (big.delta_ms >= 1000.0) {
-    std::fprintf(stderr,
-                 "FAIL: N=1000 delta re-solve took %.0f ms (>= 1 s)\n",
-                 big.delta_ms);
+                 "FAIL: ordering + dep_sets take %.1f%% of the N=1000 solve "
+                 "(bar: %.0f%%)\n",
+                 100.0 * big_share, 100.0 * kMaxGraphShare);
     ok = false;
   }
 
@@ -164,26 +117,21 @@ int main() {
     entry.object["layers"] =
         Json::make_number(static_cast<double>(row.layers));
     entry.object["cold_ms"] = Json::make_number(row.cold_ms);
-    entry.object["collapsed_ms"] = Json::make_number(row.collapsed_ms);
-    entry.object["delta_ms"] = Json::make_number(row.delta_ms);
-    entry.object["speedup"] = Json::make_number(
-        row.collapsed_ms > 0 ? row.cold_ms / row.collapsed_ms : 0.0);
+    entry.object["graph_phases_ms"] = Json::make_number(row.graph_phases_ms);
+    entry.object["graph_share"] =
+        Json::make_number(row.graph_phases_ms / row.cold_ms);
     models_json.object["transformer_stack_" + std::to_string(row.blocks)] =
         std::move(entry);
   }
 
   // The gate bands the absolute search times of the big instances; the
-  // N=8 row is informational (tens of ms, too close to scheduler noise),
-  // and the speedup ratios are enforced as hard claims above instead —
-  // the gate's regression/stale bands are built for "lower is better"
+  // N=8 row is informational (milliseconds, too close to scheduler noise),
+  // and the phase share is enforced as a hard claim above instead — the
+  // gate's regression/stale bands are built for "lower is better"
   // latencies, not ratios.
   Json gated = Json::make_array();
-  for (const char* path :
-       {"models.transformer_stack_100.cold_ms",
-        "models.transformer_stack_100.collapsed_ms",
-        "models.transformer_stack_1000.cold_ms",
-        "models.transformer_stack_1000.collapsed_ms",
-        "models.transformer_stack_1000.delta_ms"})
+  for (const char* path : {"models.transformer_stack_100.cold_ms",
+                           "models.transformer_stack_1000.cold_ms"})
     gated.array.push_back(Json::make_string(path));
 
   Json report = Json::make_object();

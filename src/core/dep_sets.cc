@@ -73,21 +73,61 @@ VertexSets compute_vertex_sets(const Graph& graph, const Ordering& order,
   return out;
 }
 
-std::vector<VertexSets> compute_all_vertex_sets(const Graph& graph,
-                                                const Ordering& order) {
-  std::vector<VertexSets> out;
-  out.reserve(order.seq.size());
-  for (i64 i = 0; i < static_cast<i64>(order.seq.size()); ++i)
-    out.push_back(compute_vertex_sets(graph, order, i));
+AllVertexSets compute_all_vertex_sets(const Graph& graph,
+                                      const Ordering& order) {
+  const i64 n = static_cast<i64>(order.seq.size());
+  AllVertexSets out;
+  out.dependent.resize(static_cast<size_t>(n));
+  out.subset_anchors.resize(static_cast<size_t>(n));
+
+  // Union-find over the positions of the sequenced prefix V_<i. Each
+  // component C is rooted at its maximum position j (the step that merges
+  // components makes the new position their root), so C = X(j) and C's
+  // frontier N(C) n V_>=i is D(j): a frontier vertex at a position in
+  // (j, i) would have joined C.
+  std::vector<i64> parent(static_cast<size_t>(n));
+  auto find = [&](i64 x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      auto& p = parent[static_cast<size_t>(x)];
+      p = parent[static_cast<size_t>(p)];  // path halving
+      x = p;
+    }
+    return x;
+  };
+
+  for (i64 i = 0; i < n; ++i) {
+    const NodeId vi = order.seq[static_cast<size_t>(i)];
+    auto& dep = out.dependent[static_cast<size_t>(i)];
+    auto& anchors = out.subset_anchors[static_cast<size_t>(i)];
+    // S(i): the prefix components v^(i) touches. D(i): its later
+    // neighbors plus those components' frontiers, minus v^(i).
+    for (const NodeId w : graph.neighbors(vi)) {
+      const i64 pw = order.pos[static_cast<size_t>(w)];
+      if (pw > i)
+        dep.push_back(w);
+      else
+        anchors.push_back(find(pw));
+    }
+    std::sort(anchors.begin(), anchors.end());
+    anchors.erase(std::unique(anchors.begin(), anchors.end()), anchors.end());
+    parent[static_cast<size_t>(i)] = i;
+    for (const i64 j : anchors) {
+      for (const NodeId w : out.dependent[static_cast<size_t>(j)])
+        if (w != vi) dep.push_back(w);
+      parent[static_cast<size_t>(j)] = i;
+    }
+    std::sort(dep.begin(), dep.end());
+    dep.erase(std::unique(dep.begin(), dep.end()), dep.end());
+    if (dep.empty()) out.roots.push_back(i);
+  }
+  std::reverse(out.roots.begin(), out.roots.end());
   return out;
 }
 
 i64 max_dependent_set_size(const Graph& graph, const Ordering& order) {
   i64 m = 0;
-  for (i64 i = 0; i < static_cast<i64>(order.seq.size()); ++i) {
-    const VertexSets s = compute_vertex_sets(graph, order, i);
-    m = std::max(m, static_cast<i64>(s.dependent.size()));
-  }
+  for (const auto& dep : compute_all_vertex_sets(graph, order).dependent)
+    m = std::max(m, static_cast<i64>(dep.size()));
   return m;
 }
 

@@ -4,9 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
-#include "core/block_collapse.h"
 #include "core/dep_sets.h"
 #include "cost/cost_cache.h"
 #include "obs/metrics.h"
@@ -179,32 +177,6 @@ void extract(const std::vector<PositionState>& states,
 
 }  // namespace
 
-std::shared_ptr<const DpContext::Snapshot> DpContext::match(
-    const Graph& graph, OrderingKind kind) const {
-  std::shared_ptr<const Snapshot> snap;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap = snap_;
-  }
-  if (!snap || snap->kind != kind || snap->num_nodes != graph.num_nodes() ||
-      static_cast<i64>(snap->edges.size()) != graph.num_edges()) {
-    return nullptr;
-  }
-  // Adjacency identity, element for element. Shapes/extents are deliberately
-  // NOT compared: the cached phases are pure functions of (src, dst) pairs,
-  // which is exactly what makes batch/device/bandwidth mutations reusable.
-  for (const Edge& e : graph.edges()) {
-    const auto& p = snap->edges[static_cast<size_t>(e.id)];
-    if (p.first != e.src || p.second != e.dst) return nullptr;
-  }
-  return snap;
-}
-
-void DpContext::store(std::shared_ptr<const Snapshot> snap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  snap_ = std::move(snap);
-}
-
 const char* trip_cause_name(DpResult::TripCause cause) {
   switch (cause) {
     case DpResult::TripCause::kNone: return "none";
@@ -226,63 +198,19 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // daemon keeps one warm per graph signature) survives across solves, so
   // its counters are reported as this solve's delta. Under concurrent
   // solves sharing one cache the delta is approximate (other requests bump
-  // the same counters) — diagnostics only, never results. Constructed
-  // before the ordering phase because block collapsing reads its structural
-  // equivalence classes.
+  // the same counters) — diagnostics only, never results. The structural
+  // classes it computes also key the per-class cost sharing below, so a
+  // solve without the memo still builds one for its classes.
   std::optional<CostCache> own_cost_cache;
-  CostCache* cost_cache = nullptr;
-  if (options.use_cost_cache) {
-    if (options.shared_cost_cache) {
-      cost_cache = options.shared_cost_cache;
-    } else {
-      own_cost_cache.emplace(graph);
-      cost_cache = &*own_cost_cache;
-    }
-  }
+  CostCache& classes = options.use_cost_cache && options.shared_cost_cache
+                           ? *options.shared_cost_cache
+                           : own_cost_cache.emplace(graph);
+  CostCache* const cost_cache = options.use_cost_cache ? &classes : nullptr;
 
   Ordering order;
-  std::shared_ptr<const DpContext::Snapshot> reused;
-  BlockPlan plan;
-  bool have_plan = false;
   {
     PhaseScope phase(trace, metrics, "ordering", "dp.phase.ordering_seconds");
-    if (options.context) {
-      reused = options.context->match(graph, options.ordering);
-      if (metrics)
-        metrics->add_counter(reused ? "dp.reuse.hits" : "dp.reuse.misses", 1);
-    }
-    if (options.collapse_blocks) {
-      // The plan powers the per-class cost memo below even when the
-      // ordering itself comes from a context snapshot, so detect always.
-      if (cost_cache) {
-        plan = detect_blocks(graph, *cost_cache);
-      } else {
-        const CostCache classes_only(graph);
-        plan = detect_blocks(graph, classes_only);
-      }
-      have_plan = true;
-      result.collapse_fired = plan.fired();
-      result.collapse_period = plan.period;
-      result.collapse_blocks = plan.count;
-      if (metrics && plan.fired()) {
-        metrics->add_counter("dp.collapse.fired", 1);
-        metrics->record("dp.collapse.period", plan.period);
-        metrics->record("dp.collapse.blocks", plan.count);
-      }
-    }
-    if (reused) {
-      order = reused->order;
-      result.reused_tables = true;
-    } else if (have_plan && plan.fired() &&
-               options.ordering == OrderingKind::kGenerateSeq) {
-      CollapseOrderingStats stats;
-      order = collapsed_generate_seq(graph, plan, &stats);
-      result.collapse_ordering_extrapolated = stats.certified;
-      if (metrics && stats.certified)
-        metrics->add_counter("dp.collapse.ordering_certified", 1);
-    } else {
-      order = make_ordering(graph, options.ordering);
-    }
+    order = make_ordering(graph, options.ordering);
   }
   std::optional<ConfigCache> configs_storage;
   {
@@ -344,7 +272,20 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     }
   }
 
+  // D(i) and S(i) for every position, and the component roots, in one
+  // pass over the sequence.
   std::vector<PositionState> states(static_cast<size_t>(n));
+  std::vector<i64> roots;
+  {
+    PhaseScope phase(trace, metrics, "dep_sets", "dp.phase.dep_sets_seconds");
+    AllVertexSets sets = compute_all_vertex_sets(graph, order);
+    for (i64 i = 0; i < n; ++i) {
+      PositionState& st = states[static_cast<size_t>(i)];
+      st.dependent = std::move(sets.dependent[static_cast<size_t>(i)]);
+      st.anchors = std::move(sets.subset_anchors[static_cast<size_t>(i)]);
+    }
+    roots = std::move(sets.roots);
+  }
   std::vector<u32> cur_idx(static_cast<size_t>(n), 0);
 
   // Guard/deadline/cancellation trips either abort the exact DP
@@ -401,27 +342,29 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
-  // Per-class cost memoization (collapse mode): same-class vertices share
-  // their t_l vector and t_x matrices — the "solve one class representative"
-  // half of block collapsing. Exactness: a CostCache class groups nodes
-  // (edges) whose every cost-model input is byte-identical, so equal class
-  // implies equal cost for equal configurations; equality of the actual
-  // configuration LISTS is verified at lookup (never assumed — a
-  // ConfigOptions filter could in principle admit different lists for
-  // same-class nodes, in which case the memo simply misses). Fills happen on
-  // the calling thread before the parallel fan-out, preserving the
-  // bit-identical-at-any-thread-count contract.
+  // Per-class cost sharing: same-class vertices share their t_l vector and
+  // t_x matrices, so a model that repeats a layer prices it once. A
+  // CostCache class groups nodes (edges) whose every cost-model input is
+  // byte-identical, so equal class implies equal cost for equal
+  // configurations; equality of the actual configuration LISTS is verified
+  // at lookup (never assumed — a ConfigOptions filter could in principle
+  // admit different lists for same-class nodes, in which case the class
+  // entry simply misses). Fills happen on the calling thread before the
+  // parallel fan-out, preserving the bit-identical-at-any-thread-count
+  // contract. Edge entries are indexed by 2 * class + (v^(i) is the src).
   struct ClassNodeCosts {
     NodeId rep = kInvalidNode;
     std::shared_ptr<const std::vector<double>> costs;
   };
-  std::unordered_map<u32, ClassNodeCosts> class_node_costs;
+  std::vector<ClassNodeCosts> class_node_costs(
+      static_cast<size_t>(classes.num_node_classes()));
   struct ClassEdgeCosts {
     NodeId rep_vi = kInvalidNode;
     NodeId rep_other = kInvalidNode;
     std::shared_ptr<const std::vector<double>> matrix;
   };
-  std::unordered_map<u64, ClassEdgeCosts> class_edge_costs;
+  std::vector<ClassEdgeCosts> class_edge_costs(
+      2 * static_cast<size_t>(classes.num_edge_classes()));
 
   for (i64 i = 0; i < n; ++i) {
     if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone)
@@ -432,21 +375,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     const NodeId vi = order.seq[static_cast<size_t>(i)];
     const auto& vi_configs = configs.at(vi);
     PositionState& st = states[static_cast<size_t>(i)];
-
-    {
-      PhaseScope phase(trace, metrics, "dep_sets",
-                       "dp.phase.dep_sets_seconds");
-      phase.arg("vertex", i);
-      if (reused) {
-        st.dependent = reused->dependent[static_cast<size_t>(i)];
-        st.anchors = reused->anchors[static_cast<size_t>(i)];
-      } else {
-        const VertexSets sets = compute_vertex_sets(graph, order, i);
-        st.dependent = sets.dependent;
-        st.anchors = sets.subset_anchors;
-      }
-      phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
-    }
     result.dependent_set_sizes.push_back(
         static_cast<i64>(st.dependent.size()));
     result.max_dependent_set = std::max(
@@ -458,6 +386,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     PhaseScope fill_phase(trace, metrics, "table_fill",
                           "dp.phase.table_fill_seconds");
     fill_phase.arg("vertex", i);
+    fill_phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
 
     // Guard against combinatorial blow-up (paper Table I "OOM" outcome).
     double combos = 1.0;
@@ -510,18 +439,15 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     };
 
     // Precompute t_l(v^(i), C) for every C in C(v^(i)) — shared across
-    // same-class vertices in collapse mode.
+    // same-class vertices.
+    ClassNodeCosts& node_entry =
+        class_node_costs[static_cast<size_t>(classes.node_class(vi))];
     std::shared_ptr<const std::vector<double>> node_costs_ptr;
-    if (have_plan) {
-      const auto it =
-          class_node_costs.find(plan.node_class[static_cast<size_t>(vi)]);
-      if (it != class_node_costs.end() &&
-          configs.at(it->second.rep) == vi_configs) {
-        node_costs_ptr = it->second.costs;
-        if (metrics) metrics->add_counter("dp.collapse.node_memo_hits", 1);
-      }
-    }
-    if (!node_costs_ptr) {
+    if (node_entry.rep != kInvalidNode &&
+        configs.at(node_entry.rep) == vi_configs) {
+      node_costs_ptr = node_entry.costs;
+      if (metrics) metrics->add_counter("dp.class_memo.node_hits", 1);
+    } else {
       auto computed =
           std::make_shared<std::vector<double>>(vi_configs.size());
       for (size_t c = 0; c < vi_configs.size(); ++c) {
@@ -534,17 +460,15 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         (*computed)[c] = cost.node_cost(vi, vi_configs[c]);
       }
       node_costs_ptr = std::move(computed);
-      if (have_plan)
-        class_node_costs[plan.node_class[static_cast<size_t>(vi)]] = {
-            vi, node_costs_ptr};
+      node_entry = {vi, node_costs_ptr};
     }
     const std::vector<double>& node_costs = *node_costs_ptr;
 
     // Later edges of v^(i) (the H function's transfer terms) with their full
     // |C(v^(i))| x |C(w)| cost matrices; every later neighbor w is in D(i).
-    // In collapse mode a matrix is shared across edges of the same
-    // structural class and orientation once both endpoint configuration
-    // lists are verified equal to the representative's.
+    // A matrix is shared across edges of the same structural class and
+    // orientation once both endpoint configuration lists are verified equal
+    // to the representative's.
     struct LaterEdge {
       NodeId other;
       std::shared_ptr<const std::vector<double>>
@@ -560,21 +484,15 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       LaterEdge le;
       le.other = w;
       const auto& w_configs = configs.at(w);
-      const u64 memo_key =
-          (static_cast<u64>(
-               have_plan ? plan.edge_class[static_cast<size_t>(e.id)] : 0)
-           << 1) |
-          (e.src == vi ? 1u : 0u);
-      if (have_plan) {
-        const auto it = class_edge_costs.find(memo_key);
-        if (it != class_edge_costs.end() &&
-            configs.at(it->second.rep_vi) == vi_configs &&
-            configs.at(it->second.rep_other) == w_configs) {
-          le.cost_matrix = it->second.matrix;
-          if (metrics) metrics->add_counter("dp.collapse.edge_memo_hits", 1);
-        }
-      }
-      if (!le.cost_matrix) {
+      ClassEdgeCosts& edge_entry =
+          class_edge_costs[2 * static_cast<size_t>(classes.edge_class(eid)) +
+                           (e.src == vi ? 1 : 0)];
+      if (edge_entry.rep_vi != kInvalidNode &&
+          configs.at(edge_entry.rep_vi) == vi_configs &&
+          configs.at(edge_entry.rep_other) == w_configs) {
+        le.cost_matrix = edge_entry.matrix;
+        if (metrics) metrics->add_counter("dp.class_memo.edge_hits", 1);
+      } else {
         auto matrix = std::make_shared<std::vector<double>>(
             vi_configs.size() * w_configs.size());
         for (size_t ci = 0; ci < vi_configs.size(); ++ci)
@@ -591,8 +509,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
                 cost.edge_cost(e, src, dst);
           }
         le.cost_matrix = std::move(matrix);
-        if (have_plan)
-          class_edge_costs[memo_key] = {vi, w, le.cost_matrix};
+        edge_entry = {vi, w, le.cost_matrix};
       }
       later_edges.push_back(std::move(le));
     }
@@ -709,23 +626,10 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // R(|V|, {}) is the optimum. For a disconnected graph (pipeline-stage
   // subgraphs), each weakly connected component is covered by its own
   // maximum-position vertex, whose dependent set is empty; costs add and
-  // back-substitution runs per component root.
-  std::vector<i64> roots;
+  // back-substitution runs per component root, in descending position.
   {
     PhaseScope phase(trace, metrics, "back_substitution",
                      "dp.phase.back_substitution_seconds");
-    if (reused) {
-      roots = reused->roots;
-    } else {
-      Bitset covered(n);
-      for (i64 i = n - 1; i >= 0; --i) {
-        const NodeId vi = order.seq[static_cast<size_t>(i)];
-        if (covered.test(vi)) continue;
-        roots.push_back(i);
-        for (NodeId v : compute_vertex_sets(graph, order, i).connected)
-          covered.set(v);
-      }
-    }
     phase.arg("roots", static_cast<i64>(roots.size()));
 
     result.best_cost = 0.0;
@@ -745,28 +649,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   }
   if (metrics)
     metrics->add_counter("dp.roots", static_cast<u64>(roots.size()));
-
-  // Publish this solve's adjacency-pure phases (ordering, vertex sets,
-  // roots) for future delta re-solves under mutated parameters.
-  if (options.context && !reused) {
-    auto snap = std::make_shared<DpContext::Snapshot>();
-    snap->kind = options.ordering;
-    snap->num_nodes = n;
-    snap->edges.reserve(static_cast<size_t>(graph.num_edges()));
-    for (const Edge& e : graph.edges()) snap->edges.emplace_back(e.src, e.dst);
-    snap->order = order;
-    snap->dependent.resize(static_cast<size_t>(n));
-    snap->anchors.resize(static_cast<size_t>(n));
-    for (i64 i = 0; i < n; ++i) {
-      snap->dependent[static_cast<size_t>(i)] =
-          states[static_cast<size_t>(i)].dependent;
-      snap->anchors[static_cast<size_t>(i)] =
-          states[static_cast<size_t>(i)].anchors;
-    }
-    snap->roots = roots;
-    options.context->store(std::move(snap));
-    if (metrics) metrics->add_counter("dp.reuse.stores", 1);
-  }
 
   record_cache_stats();
   result.elapsed_seconds = timer.elapsed_seconds();

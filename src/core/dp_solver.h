@@ -8,8 +8,12 @@
 //
 // where H is the layer cost of v^(i) plus its transfer costs to later
 // neighbors, and the R(j, .) values are read from the DP tables of the
-// connected-subset anchors. Tables are hash maps keyed by the configuration
-// choices of the dependent-set nodes. A table/work guard reports the same
+// connected-subset anchors. D(i) and S(i) come from one pass over the
+// sequence (compute_all_vertex_sets), and the H terms are priced once per
+// structural class of layer and edge (CostCache::node_class/edge_class):
+// vertices of the same class share their t_l vector and t_x matrices.
+// Tables are dense vectors indexed by the configuration choices of the
+// dependent-set nodes (see dp_solver.cc). A table/work guard reports the same
 // out-of-memory outcome the paper observes for breadth-first ordering on
 // InceptionV3 and Transformer (Table I) without actually exhausting RAM;
 // with DpOptions::degraded_fallback, a tripped guard (or an expired
@@ -40,10 +44,7 @@
 
 #include <atomic>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "config/config_enum.h"
@@ -56,49 +57,6 @@ namespace pase {
 
 class MetricsRegistry;
 class TraceSession;
-
-/// Cross-solve context for delta re-solves (docs/SCALING.md, DESIGN.md §12).
-///
-/// Everything the solver computes *before* the DP tables — the vertex
-/// ordering, the per-position dependent sets D(i) and anchor sets S(i), and
-/// the component roots — is a pure function of the graph's ADJACENCY (which
-/// node ids are connected, in which direction) and the ordering kind. It is
-/// completely independent of tensor extents, batch size, device counts,
-/// bandwidths and cost params. A caller that re-solves the same topology
-/// under mutated parameters (the serving daemon after a batch-size change,
-/// the robustness evaluator re-solving per degraded machine) can hand the
-/// same DpContext to every solve: on an adjacency match the solver skips the
-/// ordering and vertex-set phases — the dominant cost at thousand-node scale
-/// — and only refills the (cheap) DP tables. On any mismatch the context is
-/// ignored, so reuse can never change results; the solver verifies the
-/// stored (src, dst) edge list element-for-element rather than trusting a
-/// hash. Thread-safe; solves from any number of threads may share one
-/// context. The stored snapshot is replaced wholesale after a successful
-/// solve of a non-matching graph.
-class DpContext {
- public:
-  struct Snapshot {
-    OrderingKind kind = OrderingKind::kGenerateSeq;
-    i64 num_nodes = 0;
-    /// Exact (src, dst) per EdgeId — identity, not a hash.
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    Ordering order;
-    std::vector<std::vector<NodeId>> dependent;  ///< D(i) per position
-    std::vector<std::vector<i64>> anchors;       ///< S(i) per position
-    std::vector<i64> roots;  ///< component root positions (descending)
-  };
-
-  /// The stored snapshot when it matches (kind, adjacency of `graph`)
-  /// exactly; nullptr otherwise.
-  std::shared_ptr<const Snapshot> match(const Graph& graph,
-                                        OrderingKind kind) const;
-  /// Replaces the stored snapshot.
-  void store(std::shared_ptr<const Snapshot> snap);
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const Snapshot> snap_;
-};
 
 struct DpOptions {
   ConfigOptions config_options;
@@ -140,7 +98,10 @@ struct DpOptions {
 
   /// Memoize t_l/t_x across structurally identical layers and edges (see
   /// cost/cost_cache.h). Never changes results; pase_cli --no-cost-cache
-  /// disables it for ablation.
+  /// disables it for ablation. The per-class sharing every solve does
+  /// (file comment) is independent of this flag: it already serves most
+  /// in-solve repeats, so the memo pays off mainly when shared across
+  /// solves. The shared cache's classes, when given, also key that sharing.
   bool use_cost_cache = true;
   /// Optional caller-owned cost cache shared across solves (the serving
   /// daemon keeps one warm per (graph signature, cost params) pair so a hot
@@ -153,25 +114,6 @@ struct DpOptions {
   /// cache is thread-safe; it never changes results (cost functions are
   /// pure). Must outlive the call.
   CostCache* shared_cost_cache = nullptr;
-
-  /// Block collapsing for repeated-structure graphs (core/block_collapse.h,
-  /// docs/SCALING.md): detect maximal runs of structurally identical blocks,
-  /// run GenerateSeq on a small representative window, stitch + certify the
-  /// full ordering, and reuse per-class node-cost vectors and edge-cost
-  /// matrices across same-class vertices. Results are ALWAYS bit-identical
-  /// to collapse_blocks = false — the stitched ordering is certified against
-  /// the greedy's own invariant (falling back to the full GenerateSeq on any
-  /// mismatch) and class reuse is verified against each vertex's actual
-  /// configuration list. Off by default; pase_cli --collapse-blocks and the
-  /// serving daemon enable it.
-  bool collapse_blocks = false;
-
-  /// Optional cross-solve context for delta re-solves (see DpContext). When
-  /// non-null and its snapshot matches this graph's adjacency + ordering
-  /// kind, the ordering/vertex-set/root phases are skipped and only the DP
-  /// tables are refilled; on a successful solve of a non-matching graph the
-  /// snapshot is replaced. Never changes results. Must outlive the call.
-  DpContext* context = nullptr;
 
   /// Optional observability sinks (src/obs); either or both may be null.
   /// `trace` records phase and per-vertex spans (ordering, dep_sets,
@@ -221,18 +163,6 @@ struct DpResult {
   /// Cost-cache statistics (both zero when the cache is disabled).
   u64 cost_cache_hits = 0;
   u64 cost_cache_misses = 0;
-
-  // Block-collapse and delta-re-solve diagnostics (docs/SCALING.md). All
-  // structural: identical at every thread count.
-  bool collapse_fired = false;  ///< a run of >= kMinCollapseBlocks detected
-  i64 collapse_period = 0;      ///< nodes per detected block
-  i64 collapse_blocks = 0;      ///< detected block instances
-  /// The ordering came from the window + stitch fast path and passed
-  /// certification (false also when the fast path fell back to the full
-  /// GenerateSeq — the result is bit-identical either way).
-  bool collapse_ordering_extrapolated = false;
-  /// Ordering/vertex sets/roots were reused from DpOptions::context.
-  bool reused_tables = false;
 };
 
 /// Stable wire name for a trip cause ("table_guard", "deadline", ...;

@@ -1,6 +1,10 @@
 #include "core/ordering.h"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <queue>
+#include <utility>
 
 #include "util/bitset.h"
 #include "util/check.h"
@@ -14,53 +18,53 @@ Ordering generate_seq(const Graph& graph) {
   out.pos.assign(static_cast<size_t>(n), -1);
   out.dep_sets.resize(static_cast<size_t>(n));
 
-  // v.d <- N(v)  (Fig. 3 line 1)
-  std::vector<Bitset> d(static_cast<size_t>(n));
-  for (NodeId v = 0; v < n; ++v)
-    d[static_cast<size_t>(v)] = graph.neighbor_set(v);
+  // v.d <- N(v)  (Fig. 3 line 1), as a sorted vector. A set never holds
+  // its own vertex (Fig. 3 excludes it from |v.d|) nor a sequenced one:
+  // sequenced vertices leave every set in lines 7-9, which touch exactly
+  // the sets that contain them (membership is symmetric).
+  std::vector<std::vector<NodeId>> d(static_cast<size_t>(n));
+  // Min-heap on (|v.d|, v): its top is line 5's pick, the first strictly
+  // smaller |v.d| of an id-order scan. A size change pushes a new entry;
+  // entries whose size no longer matches (or whose vertex is sequenced)
+  // are skipped when they surface.
+  using Key = std::pair<i64, NodeId>;
+  std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap;
+  for (NodeId v = 0; v < n; ++v) {
+    auto& dv = d[static_cast<size_t>(v)];
+    dv = graph.neighbors(v);
+    std::sort(dv.begin(), dv.end());
+    heap.emplace(static_cast<i64>(dv.size()), v);
+  }
 
-  Bitset unsequenced(n);
-  for (NodeId v = 0; v < n; ++v) unsequenced.set(v);
-
+  std::vector<NodeId> merged;
   for (i64 i = 0; i < n; ++i) {
-    // Pick the unsequenced node with minimum |v.d| (line 5). While a node
-    // is unsequenced its v.d may contain the node itself (the invariant
-    // D(j)|i of Theorem 2's proof intersects with V_>i, which still holds
-    // v^(j)); the node's own entry disappears from its dependent set the
-    // moment it is sequenced, so it is excluded from the cardinality.
     NodeId best = kInvalidNode;
-    i64 best_size = 0;
-    unsequenced.for_each([&](i64 u) {
-      const auto& du = d[static_cast<size_t>(u)];
-      const i64 size = du.count() - (du.test(u) ? 1 : 0);
-      if (best == kInvalidNode || size < best_size) {
-        best = static_cast<NodeId>(u);
-        best_size = size;
-      }
-    });
-    PASE_CHECK(best != kInvalidNode);
-
+    while (best == kInvalidNode) {
+      PASE_CHECK(!heap.empty());
+      const auto [size, v] = heap.top();
+      heap.pop();
+      if (out.pos[static_cast<size_t>(v)] < 0 &&
+          size == static_cast<i64>(d[static_cast<size_t>(v)].size()))
+        best = v;
+    }
     out.seq.push_back(best);
     out.pos[static_cast<size_t>(best)] = i;
-    unsequenced.reset(best);
-    d[static_cast<size_t>(best)].reset(best);  // D(i) = v.d - {v^(i)}
-
-    // Record v^(i).d before propagating (it equals D(i), Theorem 2).
-    out.dep_sets[static_cast<size_t>(i)] =
-        [&] {
-          std::vector<NodeId> ids;
-          d[static_cast<size_t>(best)].for_each(
-              [&](i64 v) { ids.push_back(static_cast<NodeId>(v)); });
-          return ids;
-        }();
 
     // For all v in v^(i).d: v.d <- v.d U v^(i).d - {v^(i)}  (lines 7-9).
-    const Bitset merged = d[static_cast<size_t>(best)];
-    merged.for_each([&](i64 v) {
+    const std::vector<NodeId>& db = d[static_cast<size_t>(best)];
+    for (const NodeId v : db) {
       auto& dv = d[static_cast<size_t>(v)];
-      dv |= merged;
-      dv.reset(best);
-    });
+      merged.clear();
+      std::set_union(dv.begin(), dv.end(), db.begin(), db.end(),
+                     std::back_inserter(merged));
+      std::erase_if(merged, [&](NodeId w) { return w == best || w == v; });
+      if (merged.size() != dv.size())
+        heap.emplace(static_cast<i64>(merged.size()), v);
+      dv.swap(merged);
+    }
+    // v^(i).d is D(i) (Theorem 2).
+    out.dep_sets[static_cast<size_t>(i)] =
+        std::move(d[static_cast<size_t>(best)]);
   }
   return out;
 }

@@ -23,14 +23,17 @@ struct Ordering {
   /// pos[v] = position of node v in seq.
   std::vector<i64> pos;
 
-  /// Dependent-set sizes tracked by GenerateSeq (v.d in Fig. 3); only
-  /// populated by generate_seq(), used to verify Theorem 2 and for the
-  /// dependent-set ablation.
+  /// dep_sets[i] = v^(i).d at the moment v^(i) is sequenced (Fig. 3),
+  /// sorted by node id; equal to D(i) by Theorem 2. Only populated by
+  /// generate_seq().
   std::vector<std::vector<NodeId>> dep_sets;
 };
 
-/// Paper Fig. 3: greedy minimum-|v.d| sequencing, O(|V|^2).
-/// Ties are broken by smallest node id for determinism.
+/// Paper Fig. 3: greedy minimum-|v.d| sequencing. Ties are broken by
+/// smallest node id for determinism. The v.d sets are sorted vectors and
+/// the pick is the top of a (|v.d|, id) min-heap, so a step costs the
+/// merges it performs plus O(log |V|) per size change — near-linear for
+/// the bounded dependent sets real DNNs have (DESIGN.md §12).
 Ordering generate_seq(const Graph& graph);
 
 /// Breadth-first traversal from node 0, direction-agnostic.

@@ -49,7 +49,7 @@ RobustnessReport evaluate_robustness(const Graph& graph,
 RobustnessReport evaluate_robustness_with_resolve(
     const Graph& graph, const MachineSpec& healthy, const Strategy& phi,
     const FaultModel& model, const DpOptions& solve_options,
-    DpContext* context, i64 num_scenarios, CommModelKind comm_kind) {
+    i64 num_scenarios, CommModelKind comm_kind) {
   RobustnessReport report = evaluate_robustness(graph, healthy, phi, model,
                                                 num_scenarios, comm_kind);
 
@@ -58,18 +58,14 @@ RobustnessReport evaluate_robustness_with_resolve(
   // §13), so the re-solve goes through hetero_cost_params — the same path
   // a plain solve on that machine takes (for a fault that degrades every
   // device equally the spec stays uniform and this is the legacy params,
-  // bit-identically). The graph adjacency is unchanged, so a shared
-  // DpContext turns this into a delta re-solve (ordering/vertex sets
-  // reused, tables refilled under the degraded cost params).
+  // bit-identically).
   const MachineSpec degraded_machine = model.perturb(healthy);
   DpOptions options = solve_options;
   options.cost_params = hetero_cost_params(degraded_machine, comm_kind);
-  options.context = context;
   const DpResult result = find_best_strategy(graph, options);
 
   report.resolved = true;
   report.resolve_status = result.status;
-  report.resolve_reused_tables = result.reused_tables;
   report.resolve_seconds = result.elapsed_seconds;
   if (result.status == DpStatus::kOk || result.status == DpStatus::kDegraded) {
     report.resolve_strategy = result.strategy;

@@ -31,15 +31,12 @@ struct RobustnessReport {
   double slowdown() const { return mean_step_time_s / healthy.step_time_s; }
 
   // Filled by evaluate_robustness_with_resolve only: what re-running the
-  // DP against the *degraded* machine would buy. The degraded cluster has
-  // the same graph adjacency, so the re-solve is a DpContext delta
-  // re-solve — sub-second even at thousand-layer scale (docs/SCALING.md).
+  // DP against the *degraded* machine would buy.
   bool resolved = false;            ///< a degraded-machine re-solve ran
   DpStatus resolve_status = DpStatus::kOk;
   Strategy resolve_strategy;        ///< empty unless resolve_status is
                                     ///< kOk/kDegraded
   SimResult resolve_degraded;       ///< adapted strategy, degraded machine
-  bool resolve_reused_tables = false;  ///< delta path fired (context hit)
   double resolve_seconds = 0.0;     ///< wall time of the re-solve
 
   /// Step-time ratio fixed-strategy / adapted-strategy on the degraded
@@ -70,16 +67,13 @@ RobustnessReport evaluate_robustness(const Graph& graph,
 /// evaluate_robustness plus a degraded-machine re-solve: re-runs the DP
 /// with `solve_options` against model.perturb(healthy) — cost params are
 /// overridden to the degraded machine; everything else (ordering, guards,
-/// collapse_blocks, threads) is taken from `solve_options` as-is — and
-/// simulates the adapted strategy on the degraded machine. Pass the
-/// `context` used for the healthy solve (may be null) to make this a delta
-/// re-solve: the degraded cluster has the same graph adjacency, so the
-/// ordering/vertex-set phases are reused and only the DP tables refill.
-/// Deterministic for identical inputs (resolve_seconds aside).
+/// threads) is taken from `solve_options` as-is — and simulates the
+/// adapted strategy on the degraded machine. Deterministic for identical
+/// inputs (resolve_seconds aside).
 RobustnessReport evaluate_robustness_with_resolve(
     const Graph& graph, const MachineSpec& healthy, const Strategy& phi,
     const FaultModel& model, const DpOptions& solve_options,
-    DpContext* context, i64 num_scenarios = 16,
+    i64 num_scenarios = 16,
     CommModelKind comm_kind = CommModelKind::kSimple);
 
 }  // namespace pase

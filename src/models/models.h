@@ -62,10 +62,11 @@ Graph mlp(i64 batch, const std::vector<i64>& widths);
 /// Generated decoder-only transformer stack (GPT-style): `blocks` identical
 /// pre-norm blocks (LN -> attention -> residual, LN -> feed-forward ->
 /// residual; 6 nodes each) between an embedding head and an
-/// LN/projection/softmax tail. Every block is structurally identical, the
-/// workload block collapsing (docs/SCALING.md) is built for; N up to 1000
-/// and beyond is supported. Defaults keep per-node work small so graph size,
-/// not per-vertex cost, dominates search time.
+/// LN/projection/softmax tail. Every block is structurally identical, so
+/// the solver prices one block's layers and edges and every other block
+/// shares them (docs/BENCHMARKS.md); N up to 1000 and beyond is supported.
+/// Defaults keep per-node work small so graph size, not per-vertex cost,
+/// dominates search time.
 Graph transformer_stack(i64 blocks, i64 batch = 8, i64 seq_len = 64,
                         i64 d_model = 256, i64 heads = 4, i64 d_ff = 1024,
                         i64 vocab = 8192);

@@ -65,6 +65,9 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
     const Graph sub = induced_subgraph(graph, nodes, remap);
     DpOptions opt = options.solver;
     opt.config_options.max_devices = devices;
+    // A caller's shared cost cache was built for the full graph; its class
+    // ids do not describe the stage subgraph's node and edge ids.
+    opt.shared_cost_cache = nullptr;
     const DpResult r = find_best_strategy(sub, opt);
     if (r.status == DpStatus::kOk) {
       ic.feasible = true;

@@ -159,24 +159,6 @@ std::shared_ptr<CostCache> ServeCore::cost_cache_for(const ResultKey& key,
   return cache;
 }
 
-std::shared_ptr<DpContext> ServeCore::dp_context_for(const Graph& graph) {
-  // Adjacency-only key: tensor extents are deliberately excluded so a
-  // batch/device/bandwidth mutation of a known topology lands on the same
-  // context (the whole point of delta re-solves). The context verifies the
-  // exact (src, dst) edge list before reuse — see DpContext::match.
-  u64 h = hash_combine(0x70617365u, static_cast<u64>(graph.num_nodes()));
-  for (const Edge& e : graph.edges())
-    h = hash_combine(h, hash_combine(static_cast<u64>(e.src),
-                                     static_cast<u64>(e.dst)));
-  std::lock_guard<std::mutex> lk(caches_mu_);
-  auto it = dp_contexts_.find(h);
-  if (it != dp_contexts_.end()) return it->second;
-  if (dp_contexts_.size() >= kMaxWarmMemos) dp_contexts_.clear();
-  auto context = std::make_shared<DpContext>();
-  dp_contexts_[h] = context;
-  return context;
-}
-
 std::shared_ptr<const CommModel> ServeCore::comm_model_for(
     const ServeRequest& request) {
   u64 h = 0x9e3779b97f4a7c15ull;
@@ -284,7 +266,6 @@ void ServeCore::log_event(const RequestScope& scope, const ServeRequest* req,
     if (audit->trip != nullptr)
       ev.object["trip"] = Json::make_string(audit->trip);
     if (audit->dedup) ev.object["dedup"] = Json::make_bool(true);
-    if (audit->reuse) ev.object["reuse"] = Json::make_bool(true);
     if (!audit->machine.empty())
       ev.object["machine"] = Json::make_string(audit->machine);
   }
@@ -633,7 +614,6 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
   audit.queue_ms = out.queue_wait_ms;
   audit.solve_ms = out.solve_ms;
   audit.trip = out.trip;
-  audit.reuse = out.reused;
 
   resp.code = out.code;
   resp.reason = out.reason;
@@ -739,12 +719,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   options.num_threads = options_.solver_threads;
   auto shared_cache = cost_cache_for(key, graph);
   options.shared_cost_cache = shared_cache.get();
-  options.collapse_blocks = options_.collapse_blocks;
-  std::shared_ptr<DpContext> context;
-  if (options_.reuse_tables) {
-    context = dp_context_for(graph);
-    options.context = context.get();
-  }
   options.metrics = &metrics_;
   // The solver's phase spans (ordering, table_fill, ...) nest inside this
   // lane's "solve" span in the request's own session.
@@ -768,10 +742,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   out.solve_ms = ms_since(solve_start);
   if (result.trip_cause != DpResult::TripCause::kNone)
     out.trip = trip_cause_name(result.trip_cause);
-  out.reused = result.reused_tables;
-  if (options_.reuse_tables)
-    metrics_.add_counter(
-        result.reused_tables ? "serve.reuse.hits" : "serve.reuse.misses", 1);
   unregister();
 
   switch (result.status) {

@@ -70,7 +70,6 @@
 namespace pase {
 class CostCache;
 class CommModel;
-class DpContext;
 }  // namespace pase
 
 namespace pase::serve {
@@ -95,17 +94,6 @@ struct ServeOptions {
   std::string event_log_path;  ///< stream the event log here ("" = memory
                                ///< ring only)
   i64 event_log_memory = 1024;  ///< in-memory event ring capacity
-  /// Block collapsing for repeated-structure graphs (docs/SCALING.md).
-  /// Never changes results (certified bit-identical in the solver); on by
-  /// default so thousand-layer zoo stacks solve in seconds.
-  bool collapse_blocks = true;
-  /// Delta re-solves: keep one DpContext per graph *adjacency* so a
-  /// cache-miss re-solve of a known topology under mutated parameters
-  /// (batch size, devices, bandwidths) skips the ordering/vertex-set
-  /// phases. Never changes results; the context verifies the adjacency
-  /// element-for-element before reuse. Responses/events report it via the
-  /// "reuse" field.
-  bool reuse_tables = true;
 };
 
 class ServeCore {
@@ -208,7 +196,6 @@ class ServeCore {
     double queue_wait_ms = 0.0;  ///< submit -> worker pickup
     double solve_ms = 0.0;       ///< solver wall time (excludes injects)
     const char* trip = nullptr;  ///< trip_cause_name() when a guard tripped
-    bool reused = false;  ///< solver reused a DpContext (delta re-solve)
   };
   struct Flight;
 
@@ -231,7 +218,6 @@ class ServeCore {
     const char* trip = nullptr;
     bool dedup = false;    ///< joined another request's flight
     bool admitted = false;  ///< this request was the flight leader
-    bool reuse = false;     ///< delta re-solve reused a warm DpContext
     /// Machine signature (src/hetero machine_signature, e.g. "1080Ti/p8",
     /// "MixedPod/p8/het"): lands in the event-log "machine" field and the
     /// serve.machine.* counters so heterogeneous requests are
@@ -250,11 +236,6 @@ class ServeCore {
   std::shared_ptr<CostCache> cost_cache_for(const ResultKey& key,
                                             const Graph& graph);
   std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request);
-  /// Warm DpContext keyed by graph *adjacency* (not the full structural
-  /// signature — extent mutations must land on the same context for delta
-  /// re-solves to fire). The context itself re-verifies the adjacency, so
-  /// a hash collision degrades to a context miss, never a wrong result.
-  std::shared_ptr<DpContext> dp_context_for(const Graph& graph);
   void watchdog_main();
   /// Renders + appends the one event-log line for this request.
   void log_event(const RequestScope& scope, const ServeRequest* request,
@@ -278,7 +259,6 @@ class ServeCore {
   std::mutex caches_mu_;
   std::unordered_map<u64, std::shared_ptr<CostCache>> cost_caches_;
   std::unordered_map<u64, std::shared_ptr<const CommModel>> comm_models_;
-  std::unordered_map<u64, std::shared_ptr<DpContext>> dp_contexts_;
 
   std::mutex flight_mu_;
   std::unordered_map<u64, std::shared_ptr<Flight>> flights_;

@@ -35,6 +35,7 @@ TEST(Determinism, DpSolverIdenticalAcrossThreadCounts) {
       {"alexnet", models::alexnet()},
       {"inception_v3", models::inception_v3()},
       {"transformer", models::transformer()},
+      {"transformer_stack_16", models::transformer_stack(16)},
   };
   for (const Case& c : cases) {
     const DpResult base = find_best_strategy(c.graph, options_for(8, 1));

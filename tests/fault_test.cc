@@ -225,7 +225,7 @@ TEST(FaultModel, JitterIsCenteredOnDegradedTime) {
               0.1 * rep.degraded.step_time_s);
 }
 
-// ---- Degraded-machine re-solve (docs/SCALING.md delta path).
+// ---- Degraded-machine re-solve.
 
 TEST(FaultModel, ResolveAdaptsToDegradedMachineViaDeltaReSolve) {
   const Graph g = models::alexnet();
@@ -233,23 +233,18 @@ TEST(FaultModel, ResolveAdaptsToDegradedMachineViaDeltaReSolve) {
   DpOptions options;
   options.config_options.max_devices = 8;
   options.cost_params = CostParams::for_machine(healthy);
-  // Healthy solve primes the context the re-solve will reuse.
-  DpContext context;
-  options.context = &context;
   const DpResult best = find_best_strategy(g, options);
   ASSERT_EQ(best.status, DpStatus::kOk);
 
   const FaultModel model(must_parse("links=0.25:0.5,straggler=0:2"), 5);
   const RobustnessReport rep = evaluate_robustness_with_resolve(
-      g, healthy, best.strategy, model, options, &context, 8);
+      g, healthy, best.strategy, model, options, 8);
   ASSERT_TRUE(rep.resolved);
   EXPECT_EQ(rep.resolve_status, DpStatus::kOk);
-  EXPECT_TRUE(rep.resolve_reused_tables);  // same adjacency: delta path
 
   // The adapted strategy must be exactly what a direct solve against the
-  // degraded machine finds — context reuse never changes answers.
+  // degraded machine finds.
   DpOptions degraded_options = options;
-  degraded_options.context = nullptr;
   degraded_options.cost_params =
       CostParams::for_machine(model.perturb(healthy));
   const DpResult direct = find_best_strategy(g, degraded_options);
@@ -269,10 +264,9 @@ TEST(FaultModel, ResolveWorksWithoutContext) {
   const DpResult best = find_best_strategy(g, options);
   const FaultModel model(must_parse("links=0.5:1"), 5);
   const RobustnessReport rep = evaluate_robustness_with_resolve(
-      g, healthy, best.strategy, model, options, /*context=*/nullptr, 8);
+      g, healthy, best.strategy, model, options, 8);
   ASSERT_TRUE(rep.resolved);
   EXPECT_EQ(rep.resolve_status, DpStatus::kOk);
-  EXPECT_FALSE(rep.resolve_reused_tables);  // cold: nothing to reuse
 }
 
 }  // namespace

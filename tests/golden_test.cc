@@ -131,16 +131,16 @@ INSTANTIATE_TEST_SUITE_P(
         CliCase{"dense_model.txt",
                 "%SRC%/tools/dense_model.pase --devices 8 --threads 2"},
         CliCase{"valid_tiny.txt",
-                "%SRC%/tests/corpus/valid_tiny.pase --devices 4"},
+                "%SRC%/tests/corpus/valid_tiny.pase --devices 4 --threads 1"},
         CliCase{"valid_tiny_machine_spec.txt",
                 "%SRC%/tests/corpus/valid_tiny.pase --machine-spec "
-                "%SRC%/tests/corpus/machine_valid.json"},
+                "%SRC%/tests/corpus/machine_valid.json --threads 1"},
         CliCase{"zoo_alexnet_p8.txt",
                 "%SRC%/tests/corpus/zoo_alexnet.pase --devices 8 "
                 "--threads 2 --baseline"},
         CliCase{"zoo_transformer_block_p8.txt",
                 "%SRC%/tests/corpus/zoo_transformer_block.pase --devices 8 "
-                "--comm-model auto"},
+                "--threads 1 --comm-model auto"},
         CliCase{"zoo_resnet_large_p_splits_p8.txt",
                 "--zoo resnet_large_p --devices 8 --threads 2 --split-dims "
                 "batch,param,spatial,channel"},

@@ -271,9 +271,8 @@ TEST(HeteroFault, ResolveEqualsPlainSolveOnEquivalentHeteroMachine) {
   const DpResult baseline = find_best_strategy(graph, options);
   ASSERT_EQ(baseline.status, DpStatus::kOk);
 
-  DpContext context;
   const RobustnessReport report = evaluate_robustness_with_resolve(
-      graph, healthy, baseline.strategy, fault_model, options, &context,
+      graph, healthy, baseline.strategy, fault_model, options,
       /*num_scenarios=*/4, CommModelKind::kSimple);
   ASSERT_TRUE(report.resolved);
   ASSERT_EQ(report.resolve_status, DpStatus::kOk);

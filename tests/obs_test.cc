@@ -417,8 +417,19 @@ TEST(ObsTrace, DpTraceNestsAndCoversPhases) {
   EXPECT_EQ(counts["ordering"], 1);
   EXPECT_EQ(counts["configs"], 1);
   EXPECT_EQ(counts["back_substitution"], 1);
-  EXPECT_EQ(counts["dep_sets"], g.num_nodes());
+  EXPECT_EQ(counts["dep_sets"], 1);
   EXPECT_EQ(counts["table_fill"], g.num_nodes());
+
+  // Each vertex's table_fill span carries |D(i)|.
+  for (const auto& [tid, events] : by_tid)
+    for (const auto* e : events) {
+      if (e->get("name")->string != "table_fill") continue;
+      const auto* args = e->get("args");
+      ASSERT_NE(args, nullptr);
+      const auto vertex = static_cast<size_t>(args->get("vertex")->number);
+      EXPECT_EQ(args->get("dep_set")->number,
+                static_cast<double>(r.dependent_set_sizes.at(vertex)));
+    }
 }
 
 // Every zoo model the paper evaluates gets a full DP run with both sinks
@@ -449,7 +460,7 @@ TEST(ObsZoo, EveryPaperBenchmarkEmitsValidTraceAndMetrics) {
          {"ordering", "configs", "dep_sets", "table_fill",
           "back_substitution"})
       EXPECT_GE(counts[phase], 1) << b.name << " missing phase " << phase;
-    EXPECT_EQ(counts["dep_sets"], b.graph.num_nodes()) << b.name;
+    EXPECT_EQ(counts["dep_sets"], 1) << b.name;
     EXPECT_EQ(counts["table_fill"], b.graph.num_nodes()) << b.name;
 
     // The metrics snapshot agrees with the solver's own diagnostics.

@@ -7,9 +7,96 @@
 #include "core/ordering.h"
 #include "models/models.h"
 #include "test_util.h"
+#include "util/bitset.h"
 
 namespace pase {
 namespace {
+
+/// Paper Fig. 3 as written: every step scans the unsequenced vertices in
+/// id order for the first strictly smaller |v.d| (the vertex's own entry
+/// excluded), then merges on dense bitsets — O(|V|^3 / 64). generate_seq
+/// must reproduce it exactly.
+Ordering fig3_scan(const Graph& graph) {
+  const i64 n = graph.num_nodes();
+  Ordering out;
+  out.pos.assign(static_cast<size_t>(n), -1);
+  out.dep_sets.resize(static_cast<size_t>(n));
+  std::vector<Bitset> d(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v)
+    d[static_cast<size_t>(v)] = graph.neighbor_set(v);
+  Bitset unsequenced(n);
+  for (NodeId v = 0; v < n; ++v) unsequenced.set(v);
+
+  for (i64 i = 0; i < n; ++i) {
+    NodeId best = kInvalidNode;
+    i64 best_size = 0;
+    unsequenced.for_each([&](i64 u) {
+      const auto& du = d[static_cast<size_t>(u)];
+      const i64 size = du.count() - (du.test(u) ? 1 : 0);
+      if (best == kInvalidNode || size < best_size) {
+        best = static_cast<NodeId>(u);
+        best_size = size;
+      }
+    });
+    out.seq.push_back(best);
+    out.pos[static_cast<size_t>(best)] = i;
+    unsequenced.reset(best);
+    d[static_cast<size_t>(best)].reset(best);
+    d[static_cast<size_t>(best)].for_each([&](i64 v) {
+      out.dep_sets[static_cast<size_t>(i)].push_back(static_cast<NodeId>(v));
+    });
+    const Bitset merged = d[static_cast<size_t>(best)];
+    merged.for_each([&](i64 v) {
+      d[static_cast<size_t>(v)] |= merged;
+      d[static_cast<size_t>(v)].reset(best);
+    });
+  }
+  return out;
+}
+
+/// Component roots by covered-set walk: downwards from the last position,
+/// every vertex no earlier root's X(i) covers starts a new component.
+std::vector<i64> covered_set_roots(const Graph& g, const Ordering& o) {
+  std::vector<i64> roots;
+  Bitset covered(g.num_nodes());
+  for (i64 i = g.num_nodes() - 1; i >= 0; --i) {
+    if (covered.test(o.seq[static_cast<size_t>(i)])) continue;
+    roots.push_back(i);
+    for (NodeId v : compute_vertex_sets(g, o, i).connected) covered.set(v);
+  }
+  return roots;
+}
+
+/// `a` and `b` side by side, b's ids shifted past a's: two components.
+Graph disjoint_union(const Graph& a, const Graph& b) {
+  Graph g = a;
+  const NodeId shift = static_cast<NodeId>(a.num_nodes());
+  for (const Node& node : b.nodes()) g.add_node(node);
+  for (const Edge& e : b.edges())
+    g.add_edge(e.src + shift, e.dst + shift, e.shape, e.src_dims, e.dst_dims);
+  return g;
+}
+
+/// generate_seq equals the Fig. 3 scan, and under both orderings the
+/// one-pass D(i), S(i) and roots equal their DFS definitions.
+void expect_matches_oracles(const Graph& g) {
+  const Ordering o = generate_seq(g);
+  const Ordering scan = fig3_scan(g);
+  ASSERT_EQ(o.seq, scan.seq);
+  ASSERT_EQ(o.pos, scan.pos);
+  ASSERT_EQ(o.dep_sets, scan.dep_sets);
+  for (const Ordering& order : {o, breadth_first(g)}) {
+    const AllVertexSets all = compute_all_vertex_sets(g, order);
+    for (i64 i = 0; i < g.num_nodes(); ++i) {
+      const VertexSets s = compute_vertex_sets(g, order, i);
+      ASSERT_EQ(all.dependent[static_cast<size_t>(i)], s.dependent)
+          << "position " << i;
+      ASSERT_EQ(all.subset_anchors[static_cast<size_t>(i)], s.subset_anchors)
+          << "position " << i;
+    }
+    ASSERT_EQ(all.roots, covered_set_roots(g, order));
+  }
+}
 
 void expect_permutation(const Graph& g, const Ordering& o) {
   ASSERT_EQ(static_cast<i64>(o.seq.size()), g.num_nodes());
@@ -44,7 +131,10 @@ TEST(Ordering, DeterministicAcrossRuns) {
 }
 
 // Theorem 2: the v.d sets maintained incrementally by GenerateSeq equal the
-// definitional dependent sets D(i) computed by DFS.
+// definitional dependent sets D(i) computed by DFS. Each parameter also
+// checks a block of 25 more seeded graphs against the oracles above — 300
+// in all, of 4 to 20 nodes, every fifth one joined by a second graph it
+// shares no edge with.
 class Theorem2Sweep : public ::testing::TestWithParam<u64> {};
 
 TEST_P(Theorem2Sweep, GenerateSeqDepSetsMatchDefinition) {
@@ -55,19 +145,37 @@ TEST_P(Theorem2Sweep, GenerateSeqDepSetsMatchDefinition) {
     EXPECT_EQ(o.dep_sets[static_cast<size_t>(i)], s.dependent)
         << "position " << i;
   }
+
+  constexpr u64 kSeedsPerParam = 25;
+  for (u64 k = 0; k < kSeedsPerParam; ++k) {
+    const u64 seed = (GetParam() - 1) * kSeedsPerParam + k + 1;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const i64 n = 4 + static_cast<i64>(seed % 17);
+    Graph r = testing::random_graph(n, static_cast<i64>(seed % 9), seed);
+    if (seed % 5 == 0)
+      r = disjoint_union(r, testing::random_graph(3 + n / 2, 2, seed + 1000));
+    expect_matches_oracles(r);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem2Sweep,
                          ::testing::Range<u64>(1, 13));
 
 TEST(Ordering, Theorem2OnPaperBenchmarks) {
-  for (const auto& b : models::paper_benchmarks()) {
-    const Ordering o = generate_seq(b.graph);
-    for (i64 i = 0; i < b.graph.num_nodes(); ++i) {
-      const VertexSets s = compute_vertex_sets(b.graph, o, i);
+  for (const char* name :
+       {"alexnet", "inception_v3", "rnnlm", "transformer", "densenet",
+        "resnet50", "vgg16", "mobilenet_v1", "gnmt", "mlp", "resnet_large_p",
+        "transformer_pipelined", "transformer_stack_50",
+        "transformer_stack_250"}) {
+    SCOPED_TRACE(name);
+    const Graph g = *models::zoo_graph(name);
+    const Ordering o = generate_seq(g);
+    for (i64 i = 0; i < g.num_nodes(); ++i) {
+      const VertexSets s = compute_vertex_sets(g, o, i);
       ASSERT_EQ(o.dep_sets[static_cast<size_t>(i)], s.dependent)
-          << b.name << " position " << i;
+          << name << " position " << i;
     }
+    expect_matches_oracles(g);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "cost/cost_cache.h"
 #include "cost/cost_model.h"
 #include "models/models.h"
 #include "pipeline/pipeline.h"
@@ -220,6 +221,27 @@ TEST(PipelineSearch, InfeasiblePartitionReportsInfeasibleNotAbort) {
       find_best_pipelined_strategy(g, m, search_solver(m), popts);
   EXPECT_EQ(r.dp.status, DpStatus::kInfeasible);
   EXPECT_TRUE(r.dp.strategy.empty());
+}
+
+TEST(PipelineSearch, SharedCostCacheDoesNotChangeStageSolves) {
+  // The serving daemon passes a cost cache built for the full graph; the
+  // stage subgraphs renumber nodes and edges, so they must not use it.
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  for (const char* name : {"alexnet", "transformer_pipelined"}) {
+    const Graph g = *models::zoo_graph(name);
+    PipelineSearchOptions popts;
+    popts.stages = 2;
+    const PipelinedSearchResult plain =
+        find_best_pipelined_strategy(g, m, search_solver(m), popts);
+    CostCache shared(g);
+    DpOptions with_cache = search_solver(m);
+    with_cache.shared_cost_cache = &shared;
+    const PipelinedSearchResult cached =
+        find_best_pipelined_strategy(g, m, with_cache, popts);
+    ASSERT_EQ(plain.dp.status, DpStatus::kOk) << name;
+    EXPECT_EQ(cached.dp.best_cost, plain.dp.best_cost) << name;
+    EXPECT_TRUE(cached.dp.strategy == plain.dp.strategy) << name;
+  }
 }
 
 TEST(PipelineSearch, ComposedCostMatchesCostModelTotal) {

@@ -766,37 +766,6 @@ TEST(ServeObs, MetricsOpReportsRollingSloQuantiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Delta re-solves (docs/SCALING.md): per-adjacency DpContext reuse
-
-TEST(ServeCore, DeltaReSolveReusesTablesAcrossDeviceCounts) {
-  ServeCore core(quiet_options());
-  // First solve of this topology: context primed, nothing to reuse.
-  const auto cold = parse_json(core.handle_line(solve_line("mlp", 4)));
-  ASSERT_EQ(cold->get_string("code"), "ok");
-  EXPECT_EQ(core.metrics().counter("serve.reuse.misses"), 1u);
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 0u);
-
-  // Different device count: a result-cache miss, but the graph adjacency
-  // is unchanged, so the solver reuses the stored ordering/vertex sets.
-  const auto delta = parse_json(core.handle_line(solve_line("mlp", 8)));
-  ASSERT_EQ(delta->get_string("code"), "ok");
-  EXPECT_EQ(delta->get_string("cache"), "miss");
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 1u);
-
-  // Reuse must be invisible in the answer: bit-identical to a cold core.
-  ServeCore fresh(quiet_options());
-  const auto direct = parse_json(fresh.handle_line(solve_line("mlp", 8)));
-  EXPECT_EQ(delta->get_string("strategy"), direct->get_string("strategy"));
-  EXPECT_EQ(delta->get_number("cost"), direct->get_number("cost"));
-
-  // The event log records the reuse on the delta line only.
-  const std::vector<std::string> tail = core.event_log().tail();
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_FALSE(parse_json(tail[0])->get_bool("reuse", false));
-  EXPECT_TRUE(parse_json(tail[1])->get_bool("reuse", false));
-}
-
-// ---------------------------------------------------------------------------
 // Widened strategy space over the wire: split_dims and pipeline_stages
 
 TEST(ServeProtocol, SplitDimsAreCanonicalizedAndValidated) {
@@ -905,16 +874,6 @@ TEST(ServeCore, PipelineStagesExceedingLayersIsMalformed) {
   const auto r = parse_json(core.handle_line(
       solve_line("mlp", 8, ",\"pipeline_stages\":8")));
   EXPECT_EQ(r->get_string("code"), "malformed");
-}
-
-TEST(ServeCore, DeltaReSolveCanBeDisabled) {
-  ServeOptions options = quiet_options();
-  options.reuse_tables = false;
-  ServeCore core(options);
-  core.handle_line(solve_line("mlp", 4));
-  core.handle_line(solve_line("mlp", 8));
-  EXPECT_EQ(core.metrics().counter("serve.reuse.hits"), 0u);
-  EXPECT_EQ(core.metrics().counter("serve.reuse.misses"), 0u);
 }
 
 }  // namespace

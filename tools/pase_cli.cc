@@ -7,7 +7,7 @@
 //            [--deadline SECONDS] [--strict] [--beam-width N]
 //            [--threads N] [--no-cost-cache] [--comm-model MODE]
 //            [--max-model-nodes N]
-//            [--zoo NAME] [--collapse-blocks] [--reuse-tables]
+//            [--zoo NAME]
 //            [--split-dims LIST] [--pipeline-stages N|auto]
 //            [--faults SPEC] [--fault-aware] [--robustness N] [--seed S]
 //
@@ -19,13 +19,8 @@
 // (or the best count with "auto"), each stage re-parallelized by the DP on
 // its share of the devices; 1 (the default) disables pipelining bitwise.
 //
-// Scaling options (docs/SCALING.md): --collapse-blocks detects repeated
-// structurally-identical blocks (e.g. a GPT stack's layers), solves one
-// representative and stitches — bit-identical to the uncollapsed solve,
-// orders of magnitude faster on thousand-layer stacks; --reuse-tables
-// keeps solver state so the --faults degraded re-solve becomes a delta
-// re-solve (ordering and vertex sets reused); --zoo NAME solves a built-in
-// zoo model (e.g. transformer_stack_1000) instead of a model file.
+// Model source: --zoo NAME solves a built-in zoo model (e.g.
+// transformer_stack_1000) instead of a model file.
 //
 // Search engine options: --threads N fans the DP's per-vertex cost
 // evaluations across N worker threads (0 = hardware concurrency, the
@@ -81,7 +76,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/block_collapse.h"
 #include "core/dp_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -120,7 +114,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "          [--comm-model simple|auto|ring|tree|hd|hier]\n"
       "          [--max-table-entries N] [--max-combinations N]\n"
       "          [--max-model-nodes N]\n"
-      "          [--zoo NAME] [--collapse-blocks] [--reuse-tables]\n"
+      "          [--zoo NAME]\n"
       "          [--split-dims LIST] [--pipeline-stages N|auto]\n"
       "          [--microbatches N]\n"
       "          [--faults SPEC] [--fault-aware] [--robustness N] [--seed "
@@ -138,12 +132,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "            default, disables pipelining bitwise); N must divide the\n"
       "            device count; --microbatches N sets the micro-batches in\n"
       "            flight for the pipeline fill/drain model (default 8)\n"
-      "scaling:    --collapse-blocks solves one representative of each\n"
-      "            maximal run of repeated structurally-identical blocks\n"
-      "            and stitches (bit-identical to the uncollapsed solve;\n"
-      "            docs/SCALING.md); --reuse-tables keeps solver state so\n"
-      "            the --faults degraded re-solve is a delta re-solve;\n"
-      "            --zoo NAME solves a built-in zoo model (alexnet, mlp,\n"
+      "model:      --zoo NAME solves a built-in zoo model (alexnet, mlp,\n"
       "            transformer, transformer_stack_<N>, ...) instead of a\n"
       "            model file\n"
       "observability: --trace-out FILE records the search itself (DP phases\n"
@@ -242,8 +231,6 @@ int main(int argc, char** argv) {
   i64 max_combinations = 0;
   i64 max_model_nodes = 0;  // 0 = unlimited
   const char* zoo_name = nullptr;
-  bool collapse_blocks = false;
-  bool reuse_tables = false;
   SplitDims split_dims;
   bool split_dims_given = false;
   i64 pipeline_stages = 1;  // 1 = off, 0 = auto
@@ -361,10 +348,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--microbatches") == 0) {
       if (!value(&v) || !parse_i64_flag(arg, v, 1, &pipeline_microbatches))
         return kExitUsage;
-    } else if (std::strcmp(arg, "--collapse-blocks") == 0) {
-      collapse_blocks = true;
-    } else if (std::strcmp(arg, "--reuse-tables") == 0) {
-      reuse_tables = true;
     } else if (std::strcmp(arg, "--faults") == 0) {
       if (!value(&faults_arg)) return kExitUsage;
     } else if (std::strcmp(arg, "--fault-aware") == 0) {
@@ -512,12 +495,6 @@ int main(int argc, char** argv) {
   }
 
   DpOptions options;
-  options.collapse_blocks = collapse_blocks;
-  // A shared context makes the --faults degraded re-solve a delta re-solve:
-  // the main solve stores its ordering/vertex sets, the re-solve reuses
-  // them (the degraded machine changes costs, not graph adjacency).
-  DpContext solver_context;
-  if (reuse_tables) options.context = &solver_context;
   options.config_options.max_devices = devices;
   // The widened per-layer strategy space (--split-dims): the default
   // {batch,param} mask equals every layer's builder-declared splittable
@@ -642,18 +619,6 @@ int main(int argc, char** argv) {
                       : 0.0);
     std::printf("\n");
   }
-  if (collapse_blocks) {
-    if (r.collapse_fired)
-      std::printf("block collapse: period %lld x %lld blocks (ordering %s)\n",
-                  static_cast<long long>(r.collapse_period),
-                  static_cast<long long>(r.collapse_blocks),
-                  r.collapse_ordering_extrapolated ? "extrapolated"
-                                                   : "certified full");
-    else
-      std::printf("block collapse: not fired (no repeated run of %lld+ "
-                  "structurally identical blocks)\n",
-                  static_cast<long long>(kMinCollapseBlocks));
-  }
   std::printf("comm model: %s", comm_model_kind_name(comm_kind));
   if (comm_kind == CommModelKind::kAuto)
     std::printf(" (all-reduce 1 MiB x %lld devices -> %s)",
@@ -709,16 +674,11 @@ int main(int argc, char** argv) {
   }
 
   if (faults_arg) {
-    // With --reuse-tables the report also re-solves against the degraded
-    // machine — a delta re-solve through the context the main search just
-    // filled — and prices what adapting the strategy would buy.
-    const RobustnessReport rep =
-        reuse_tables
-            ? evaluate_robustness_with_resolve(
-                  graph, machine, r.strategy, fault_model, options,
-                  &solver_context, robustness_scenarios, comm_kind)
-            : evaluate_robustness(graph, machine, r.strategy, fault_model,
-                                  robustness_scenarios, comm_kind);
+    // The report also re-solves against the degraded machine and prices
+    // what adapting the strategy would buy.
+    const RobustnessReport rep = evaluate_robustness_with_resolve(
+        graph, machine, r.strategy, fault_model, options,
+        robustness_scenarios, comm_kind);
     std::printf("\nfault injection: %s (seed %lld, %lld scenarios)\n",
                 fault_spec.to_string().c_str(),
                 static_cast<long long>(fault_seed),
@@ -731,14 +691,11 @@ int main(int argc, char** argv) {
     std::printf("checkpoint/restart overhead: %.2f ms/step   expected "
                 "slowdown under faults: %.2fx\n",
                 rep.checkpoint_overhead_s * 1e3, rep.slowdown());
-    if (rep.resolved) {
-      std::printf("degraded re-solve: %.1f ms search (%s), adapted step "
-                  "%.2f ms -> adaptation gain %.2fx\n",
-                  rep.resolve_seconds * 1e3,
-                  rep.resolve_reused_tables ? "tables reused" : "cold",
-                  rep.resolve_degraded.step_time_s * 1e3,
-                  rep.adaptation_gain());
-    }
+    std::printf("degraded re-solve: %.1f ms search, adapted step %.2f ms "
+                "-> adaptation gain %.2fx\n",
+                rep.resolve_seconds * 1e3,
+                rep.resolve_degraded.step_time_s * 1e3,
+                rep.adaptation_gain());
   }
 
   if (export_path) {
