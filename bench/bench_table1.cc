@@ -1,8 +1,18 @@
-// Search-time scaling trajectory: cold solves of the generated
-// transformer_stack family (docs/BENCHMARKS.md), the numbers the ROADMAP's
-// BENCH_table1.json trajectory tracks.
+// Search-time ledger: cold solves of the paper's Table I models and of the
+// generated transformer_stack family (docs/BENCHMARKS.md), the numbers the
+// ROADMAP's BENCH_table1.json trajectory tracks.
 //
-// For each N in {8, 100, 1000} (transformer_stack_<N>, 6N + 4 layers):
+// Section "table1": AlexNet, InceptionV3, RNNLM and Transformer at
+// p in {8, 32, 64}, one solver thread (the per-combination cost, not the
+// fan-out), exact solve with default options:
+//   cold_ms      min of 3 trials
+//   pricing_ms   the fastest trial's t_l/t_x pricing, from the solver's
+//                dp.phase.pricing_seconds gauge
+//   reduce_ms    the fastest trial's min-plus table reduce
+//                (dp.phase.reduce_seconds)
+//
+// Section "models": for each N in {8, 100, 1000} (transformer_stack_<N>,
+// 6N + 4 layers), at p = 8 with every hardware thread:
 //   cold_ms           exact solve with default options, min of 3 trials
 //   graph_phases_ms   the ordering + dep_sets phases of that trial, read
 //                     from the solver's dp.phase.*_seconds gauges
@@ -40,17 +50,20 @@ namespace {
 constexpr double kMaxGraphShare = 0.10;
 
 struct Row {
-  i64 blocks = 0;
+  std::string name;
   i64 layers = 0;
   double cold_ms = 0.0;
   double graph_phases_ms = 0.0;
+  double pricing_ms = 0.0;
+  double reduce_ms = 0.0;
   bool ok = false;
 };
 
 /// Min-of-3 wall time of find_best_strategy, with the phase split of the
 /// fastest trial.
-Row timed_solve(const Graph& graph, const DpOptions& base) {
+Row timed_solve(std::string name, const Graph& graph, const DpOptions& base) {
   Row row;
+  row.name = std::move(name);
   row.layers = graph.num_nodes();
   for (int t = 0; t < 3; ++t) {
     MetricsRegistry metrics;
@@ -64,11 +77,17 @@ Row timed_solve(const Graph& graph, const DpOptions& base) {
       row.graph_phases_ms =
           1e3 * (metrics.gauge("dp.phase.ordering_seconds") +
                  metrics.gauge("dp.phase.dep_sets_seconds"));
+      row.pricing_ms = 1e3 * metrics.gauge("dp.phase.pricing_seconds");
+      row.reduce_ms = 1e3 * metrics.gauge("dp.phase.reduce_seconds");
     }
     row.ok = r.status == DpStatus::kOk;
   }
+  if (!row.ok)
+    std::fprintf(stderr, "FAIL: %s did not solve\n", row.name.c_str());
   return row;
 }
+
+Json number(double v) { return Json::make_number(v); }
 
 }  // namespace
 
@@ -76,32 +95,44 @@ int main() {
   const double calib_ms = calibrate_cpu_ms(3);
   std::fprintf(stderr, "cpu calibration: %.3f ms (memory-bound spin)\n",
                calib_ms);
+  bool ok = true;
+
+  std::vector<Row> cells;
+  std::fprintf(stderr, "%-20s %6s %10s %11s %10s\n", "table1 cell", "layers",
+               "cold(ms)", "pricing(ms)", "reduce(ms)");
+  for (const char* model : {"alexnet", "inception_v3", "rnnlm",
+                            "transformer"}) {
+    const Graph graph = *models::zoo_graph(model);
+    for (const i64 p : {8, 32, 64}) {
+      const DpOptions options = bench::dp_options(
+          MachineSpec::gtx1080ti(p), OrderingKind::kGenerateSeq, 1);
+      Row row = timed_solve(std::string(model) + "_p" + std::to_string(p),
+                            graph, options);
+      std::fprintf(stderr, "%-20s %6lld %10.2f %11.2f %10.2f\n",
+                   row.name.c_str(), static_cast<long long>(row.layers),
+                   row.cold_ms, row.pricing_ms, row.reduce_ms);
+      ok = ok && row.ok;
+      cells.push_back(std::move(row));
+    }
+  }
 
   const MachineSpec machine = MachineSpec::gtx1080ti(8);
   const DpOptions options = bench::dp_options(machine);
-  bool ok = true;
-  std::vector<Row> rows;
-
-  std::fprintf(stderr, "%-24s %6s %12s %14s %8s\n", "model", "layers",
+  std::vector<Row> stacks;
+  std::fprintf(stderr, "\n%-24s %6s %12s %14s %8s\n", "model", "layers",
                "cold(ms)", "graph(ms)", "share");
   for (const i64 n : {8, 100, 1000}) {
-    Row row = timed_solve(models::transformer_stack(n), options);
-    row.blocks = n;
-    std::fprintf(stderr, "transformer_stack_%-6lld %6lld %12.1f %14.2f "
-                 "%7.1f%%\n",
-                 static_cast<long long>(n),
-                 static_cast<long long>(row.layers), row.cold_ms,
-                 row.graph_phases_ms,
+    Row row = timed_solve("transformer_stack_" + std::to_string(n),
+                          models::transformer_stack(n), options);
+    std::fprintf(stderr, "%-24s %6lld %12.1f %14.2f %7.1f%%\n",
+                 row.name.c_str(), static_cast<long long>(row.layers),
+                 row.cold_ms, row.graph_phases_ms,
                  100.0 * row.graph_phases_ms / row.cold_ms);
-    if (!row.ok) {
-      std::fprintf(stderr, "FAIL: transformer_stack_%lld did not solve\n",
-                   static_cast<long long>(n));
-      ok = false;
-    }
-    rows.push_back(row);
+    ok = ok && row.ok;
+    stacks.push_back(std::move(row));
   }
 
-  const Row& big = rows.back();
+  const Row& big = stacks.back();
   const double big_share = big.graph_phases_ms / big.cold_ms;
   if (!(big_share < kMaxGraphShare)) {
     std::fprintf(stderr,
@@ -111,36 +142,47 @@ int main() {
     ok = false;
   }
 
-  Json models_json = Json::make_object();
-  for (const Row& row : rows) {
+  Json table1_json = Json::make_object();
+  for (const Row& row : cells) {
     Json entry = Json::make_object();
-    entry.object["layers"] =
-        Json::make_number(static_cast<double>(row.layers));
-    entry.object["cold_ms"] = Json::make_number(row.cold_ms);
-    entry.object["graph_phases_ms"] = Json::make_number(row.graph_phases_ms);
-    entry.object["graph_share"] =
-        Json::make_number(row.graph_phases_ms / row.cold_ms);
-    models_json.object["transformer_stack_" + std::to_string(row.blocks)] =
-        std::move(entry);
+    entry.object["layers"] = number(static_cast<double>(row.layers));
+    entry.object["cold_ms"] = number(row.cold_ms);
+    entry.object["pricing_ms"] = number(row.pricing_ms);
+    entry.object["reduce_ms"] = number(row.reduce_ms);
+    table1_json.object[row.name] = std::move(entry);
+  }
+  Json models_json = Json::make_object();
+  for (const Row& row : stacks) {
+    Json entry = Json::make_object();
+    entry.object["layers"] = number(static_cast<double>(row.layers));
+    entry.object["cold_ms"] = number(row.cold_ms);
+    entry.object["graph_phases_ms"] = number(row.graph_phases_ms);
+    entry.object["graph_share"] = number(row.graph_phases_ms / row.cold_ms);
+    models_json.object[row.name] = std::move(entry);
   }
 
-  // The gate bands the absolute search times of the big instances; the
-  // N=8 row is informational (milliseconds, too close to scheduler noise),
-  // and the phase share is enforced as a hard claim above instead — the
-  // gate's regression/stale bands are built for "lower is better"
-  // latencies, not ratios.
+  // The gate bands the absolute search times of the big instances: the
+  // four p = 64 Table I cells and the two big stacks. The smaller cells
+  // and the N=8 row are informational (a few milliseconds, too close to
+  // scheduler noise), and the phase share is enforced as a hard claim
+  // above instead — the gate's regression/stale bands are built for
+  // "lower is better" latencies, not ratios.
   Json gated = Json::make_array();
-  for (const char* path : {"models.transformer_stack_100.cold_ms",
+  for (const char* path : {"table1.alexnet_p64.cold_ms",
+                           "table1.inception_v3_p64.cold_ms",
+                           "table1.rnnlm_p64.cold_ms",
+                           "table1.transformer_p64.cold_ms",
+                           "models.transformer_stack_100.cold_ms",
                            "models.transformer_stack_1000.cold_ms"})
     gated.array.push_back(Json::make_string(path));
 
   Json report = Json::make_object();
   report.object["bench"] = Json::make_string("table1_scaling");
-  report.object["cpu_calib_ms"] = Json::make_number(calib_ms);
-  report.object["devices"] =
-      Json::make_number(static_cast<double>(machine.num_devices));
+  report.object["cpu_calib_ms"] = number(calib_ms);
+  report.object["devices"] = number(static_cast<double>(machine.num_devices));
   report.object["gated"] = std::move(gated);
   report.object["models"] = std::move(models_json);
+  report.object["table1"] = std::move(table1_json);
   std::printf("%s\n", write_json(report).c_str());
   return ok ? 0 : 1;
 }

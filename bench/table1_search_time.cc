@@ -123,8 +123,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nPhase breakdown (Ours-%lldt, summed over p):\n",
               static_cast<long long>(threads));
+  // pricing and reduce are the two halves of table_fill.
   static constexpr const char* kPhases[] = {
-      "ordering", "configs", "dep_sets", "table_fill", "back_substitution"};
+      "ordering", "configs",  "dep_sets",         "table_fill",
+      "pricing",  "reduce",   "back_substitution"};
   for (size_t bi = 0; bi < benchmarks.size(); ++bi) {
     const MetricsRegistry& reg = metrics[bi];
     std::printf("  %-14s", benchmarks[bi].name.c_str());
@@ -135,15 +137,11 @@ int main(int argc, char** argv) {
       std::printf(" %s=%.0f%%", phase,
                   elapsed > 0 ? 100.0 * s / elapsed : 0.0);
     }
-    const u64 hits = reg.counter("dp.cost_cache.hits");
-    const u64 misses = reg.counter("dp.cost_cache.misses");
-    std::printf("  (substrategies %llu, cache hit rate %.0f%%)\n",
+    std::printf("  (substrategies %llu, combinations %llu)\n",
                 static_cast<unsigned long long>(
                     reg.counter("dp.substrategies")),
-                hits + misses
-                    ? 100.0 * static_cast<double>(hits) /
-                          static_cast<double>(hits + misses)
-                    : 0.0);
+                static_cast<unsigned long long>(
+                    reg.counter("dp.combinations")));
   }
 
   std::printf(

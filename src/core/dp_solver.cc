@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 
 #include "core/dep_sets.h"
-#include "cost/cost_cache.h"
+#include "cost/layer_classes.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -161,19 +163,147 @@ bool beam_search_fallback(const Graph& graph, const Ordering& order,
   return true;
 }
 
-/// Recursive back-substitution: assigns v^(i)'s best configuration under the
-/// current dependent-set choices, then descends into the connected subsets.
+/// Back-substitution from one component root: assigns v^(i)'s best
+/// configuration under the current dependent-set choices, then descends
+/// into the connected subsets S(i) in order (a pre-order walk). The walk
+/// keeps an explicit stack: on a chain-like graph the anchors nest once per
+/// layer, deeper than a thread's call stack allows.
 void extract(const std::vector<PositionState>& states,
-             const Ordering& order, const ConfigCache& configs,
-             i64 pos, std::vector<u32>& cur_idx, Strategy& out) {
-  const PositionState& st = states[static_cast<size_t>(pos)];
-  const u64 idx = st.index_of(cur_idx);
-  PASE_CHECK_MSG(idx < st.table.size(), "missing DP entry during extraction");
-  const NodeId vi = order.seq[static_cast<size_t>(pos)];
-  cur_idx[static_cast<size_t>(vi)] = st.table[idx].cfg;
-  out[static_cast<size_t>(vi)] = configs.at(vi)[st.table[idx].cfg];
-  for (i64 j : st.anchors) extract(states, order, configs, j, cur_idx, out);
+             const Ordering& order, const ConfigCache& configs, i64 root,
+             std::vector<u32>& cur_idx, Strategy& out) {
+  std::vector<i64> pending{root};
+  while (!pending.empty()) {
+    const PositionState& st = states[static_cast<size_t>(pending.back())];
+    const NodeId vi = order.seq[static_cast<size_t>(pending.back())];
+    pending.pop_back();
+    const u64 idx = st.index_of(cur_idx);
+    PASE_CHECK_MSG(idx < st.table.size(),
+                   "missing DP entry during extraction");
+    cur_idx[static_cast<size_t>(vi)] = st.table[idx].cfg;
+    out[static_cast<size_t>(vi)] = configs.at(vi)[st.table[idx].cfg];
+    // Reversed, so the first anchor is popped (and its subtree finished)
+    // first, exactly as the recursion would visit them.
+    pending.insert(pending.end(), st.anchors.rbegin(), st.anchors.rend());
+  }
 }
+
+/// The H term's prices for one vertex v^(i) of recurrence (4): t_l(v^(i), C)
+/// for every C in C(v^(i)), and r * t_x of each later edge (in incident
+/// order) as a matrix laid out [cw][ci], so the reduce for one phi reads one
+/// contiguous column per edge.
+struct VertexPrices {
+  struct LaterEdge {
+    NodeId other;  ///< w, the later endpoint (a member of D(i))
+    std::shared_ptr<const std::vector<double>>
+        matrix;  ///< [cw * |C(v^(i))| + ci]
+  };
+  std::shared_ptr<const std::vector<double>> layer;  ///< [ci]
+  std::vector<LaterEdge> later;
+};
+
+/// Prices vertices for the DP, once per structural class. Same-class
+/// vertices (LayerClasses) share their t_l vector; a later edge shares its
+/// matrix with every edge of the same (edge class, orientation, node class
+/// of v^(i), node class of w). Equal classes imply equal costs for equal
+/// configurations, and the actual configuration LISTS are compared before
+/// an entry is reused (a ConfigOptions filter could in principle admit
+/// different lists for same-class nodes; the entry is then re-priced and
+/// replaced), so a shared price is bit-identical to a fresh one. The DP
+/// prices on the calling thread before the parallel fan-out, so the hit
+/// counts are identical at any thread count.
+class VertexPricer {
+ public:
+  VertexPricer(const Graph& graph, const Ordering& order,
+               const ConfigCache& configs, const CostModel& cost)
+      : graph_(graph),
+        order_(order),
+        configs_(configs),
+        cost_(cost),
+        classes_(graph),
+        node_entries_(static_cast<size_t>(classes_.num_node_classes())) {}
+
+  /// Fills `out` for the vertex at sequence position i. `poll` is called
+  /// every 256 cost evaluations and returns kNone to continue; any other
+  /// cause stops the pricing and is returned.
+  template <class Poll>
+  DpResult::TripCause price(i64 i, VertexPrices& out, Poll&& poll) {
+    const NodeId vi = order_.seq[static_cast<size_t>(i)];
+    const auto& vi_configs = configs_.at(vi);
+    const size_t kc = vi_configs.size();
+    u64 tick = 0;
+    auto poll_due = [&] { return (++tick & 255u) == 0; };
+
+    ClassPrices& node_entry = node_entries_[classes_.node_class(vi)];
+    if (node_entry.rep_vi != kInvalidNode &&
+        configs_.at(node_entry.rep_vi) == vi_configs) {
+      ++node_hits_;
+    } else {
+      auto layer = std::make_shared<std::vector<double>>(kc);
+      for (size_t c = 0; c < kc; ++c) {
+        if (poll_due())
+          if (const auto cause = poll(); cause != DpResult::TripCause::kNone)
+            return cause;
+        (*layer)[c] = cost_.node_cost(vi, vi_configs[c]);
+      }
+      node_entry = {vi, kInvalidNode, std::move(layer)};
+    }
+    out.layer = node_entry.prices;
+
+    out.later.clear();
+    for (EdgeId eid : graph_.incident_edges(vi)) {
+      const Edge& e = graph_.edge(eid);
+      const NodeId w = e.src == vi ? e.dst : e.src;
+      if (order_.pos[static_cast<size_t>(w)] <= i) continue;
+      const auto& w_configs = configs_.at(w);
+      const bool vi_is_src = e.src == vi;
+      ClassPrices& edge_entry =
+          edge_entries_[{classes_.edge_class(eid), vi_is_src,
+                         classes_.node_class(vi), classes_.node_class(w)}];
+      if (edge_entry.rep_vi != kInvalidNode &&
+          configs_.at(edge_entry.rep_vi) == vi_configs &&
+          configs_.at(edge_entry.rep_w) == w_configs) {
+        ++edge_hits_;
+      } else {
+        auto matrix = std::make_shared<std::vector<double>>(kc *
+                                                            w_configs.size());
+        for (size_t cw = 0; cw < w_configs.size(); ++cw)
+          for (size_t ci = 0; ci < kc; ++ci) {
+            if (poll_due())
+              if (const auto cause = poll();
+                  cause != DpResult::TripCause::kNone)
+                return cause;
+            const Config& src = vi_is_src ? vi_configs[ci] : w_configs[cw];
+            const Config& dst = vi_is_src ? w_configs[cw] : vi_configs[ci];
+            (*matrix)[cw * kc + ci] = cost_.edge_cost(e, src, dst);
+          }
+        edge_entry = {vi, w, std::move(matrix)};
+      }
+      out.later.push_back({w, edge_entry.prices});
+    }
+    return DpResult::TripCause::kNone;
+  }
+
+  u64 node_hits() const { return node_hits_; }
+  u64 edge_hits() const { return edge_hits_; }
+
+ private:
+  /// One shared price vector or matrix and the vertices it was priced for.
+  struct ClassPrices {
+    NodeId rep_vi = kInvalidNode;
+    NodeId rep_w = kInvalidNode;
+    std::shared_ptr<const std::vector<double>> prices;
+  };
+
+  const Graph& graph_;
+  const Ordering& order_;
+  const ConfigCache& configs_;
+  const CostModel& cost_;
+  const LayerClasses classes_;
+  std::vector<ClassPrices> node_entries_;  ///< by node class
+  std::map<std::tuple<u32, bool, u32, u32>, ClassPrices> edge_entries_;
+  u64 node_hits_ = 0;
+  u64 edge_hits_ = 0;
+};
 
 }  // namespace
 
@@ -194,19 +324,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   TraceSession* const trace = options.trace;
   MetricsRegistry* const metrics = options.metrics;
 
-  // Per-solve cache by default; a caller-owned shared cache (the serving
-  // daemon keeps one warm per graph signature) survives across solves, so
-  // its counters are reported as this solve's delta. Under concurrent
-  // solves sharing one cache the delta is approximate (other requests bump
-  // the same counters) — diagnostics only, never results. The structural
-  // classes it computes also key the per-class cost sharing below, so a
-  // solve without the memo still builds one for its classes.
-  std::optional<CostCache> own_cost_cache;
-  CostCache& classes = options.use_cost_cache && options.shared_cost_cache
-                           ? *options.shared_cost_cache
-                           : own_cost_cache.emplace(graph);
-  CostCache* const cost_cache = options.use_cost_cache ? &classes : nullptr;
-
   Ordering order;
   {
     PhaseScope phase(trace, metrics, "ordering", "dp.phase.ordering_seconds");
@@ -218,15 +335,9 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     configs_storage.emplace(graph, options.config_options);
   }
   const ConfigCache& configs = *configs_storage;
-  const u64 hits0 = cost_cache ? cost_cache->hits() : 0;
-  const u64 misses0 = cost_cache ? cost_cache->misses() : 0;
-  CostModel cost(graph, options.cost_params);
-  if (cost_cache) cost.attach_cache(cost_cache);
-  auto record_cache_stats = [&] {
-    if (!cost_cache) return;
-    result.cost_cache_hits = cost_cache->hits() - hits0;
-    result.cost_cache_misses = cost_cache->misses() - misses0;
-  };
+  const CostModel cost(graph, options.cost_params);
+  VertexPricer pricer(graph, order, configs, cost);
+
   // Final metrics flush, shared by every exit path. Counters/histograms
   // recorded here are structural — pure functions of (graph, options minus
   // num_threads) — while anything wall-clock or scheduling dependent goes
@@ -234,8 +345,10 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   auto record_metrics = [&] {
     if (!metrics) return;
     metrics->add_counter("dp.solves", 1);
-    metrics->add_counter("dp.cost_cache.hits", result.cost_cache_hits);
-    metrics->add_counter("dp.cost_cache.misses", result.cost_cache_misses);
+    if (pricer.node_hits() > 0)
+      metrics->add_counter("dp.class_memo.node_hits", pricer.node_hits());
+    if (pricer.edge_hits() > 0)
+      metrics->add_counter("dp.class_memo.edge_hits", pricer.edge_hits());
     const char* status = "ok";
     switch (result.status) {
       case DpStatus::kOk: status = "ok"; break;
@@ -265,7 +378,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   for (NodeId v = 0; v < n; ++v) {
     if (configs.at(v).empty()) {
       result.status = DpStatus::kInfeasible;
-      record_cache_stats();
       result.elapsed_seconds = timer.elapsed_seconds();
       record_metrics();
       return result;
@@ -313,7 +425,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         result.trip_cause = DpResult::TripCause::kCancelled;
       }
     }
-    record_cache_stats();
     result.elapsed_seconds = timer.elapsed_seconds();
     record_metrics();
     return result;
@@ -342,30 +453,8 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
-  // Per-class cost sharing: same-class vertices share their t_l vector and
-  // t_x matrices, so a model that repeats a layer prices it once. A
-  // CostCache class groups nodes (edges) whose every cost-model input is
-  // byte-identical, so equal class implies equal cost for equal
-  // configurations; equality of the actual configuration LISTS is verified
-  // at lookup (never assumed — a ConfigOptions filter could in principle
-  // admit different lists for same-class nodes, in which case the class
-  // entry simply misses). Fills happen on the calling thread before the
-  // parallel fan-out, preserving the bit-identical-at-any-thread-count
-  // contract. Edge entries are indexed by 2 * class + (v^(i) is the src).
-  struct ClassNodeCosts {
-    NodeId rep = kInvalidNode;
-    std::shared_ptr<const std::vector<double>> costs;
-  };
-  std::vector<ClassNodeCosts> class_node_costs(
-      static_cast<size_t>(classes.num_node_classes()));
-  struct ClassEdgeCosts {
-    NodeId rep_vi = kInvalidNode;
-    NodeId rep_other = kInvalidNode;
-    std::shared_ptr<const std::vector<double>> matrix;
-  };
-  std::vector<ClassEdgeCosts> class_edge_costs(
-      2 * static_cast<size_t>(classes.num_edge_classes()));
-
+  VertexPrices prices;
+  std::vector<double> acc_seq;  // the calling thread's reduce accumulator
   for (i64 i = 0; i < n; ++i) {
     if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone)
       return degrade_or_fail(
@@ -427,101 +516,48 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       metrics->record("dp.substrategies_per_vertex", static_cast<i64>(prod));
     }
 
-    // The t_l / t_x precompute loops below can dominate wall time on a
-    // single-large-vertex model — they make |C(v^(i))| + sum_w |C(v^(i))| x
-    // |C(w)| cost-model calls before the table fill ever starts — so they
-    // carry their own amortized abort check (every 256 cost calls; a
-    // steady_clock read amortized over 256 cost evaluations is noise).
-    u64 precompute_tick = 0;
-    auto precompute_cause = [&]() -> DpResult::TripCause {
-      if ((++precompute_tick & 255u) != 0) return DpResult::TripCause::kNone;
-      return abort_cause();
-    };
-
-    // Precompute t_l(v^(i), C) for every C in C(v^(i)) — shared across
-    // same-class vertices.
-    ClassNodeCosts& node_entry =
-        class_node_costs[static_cast<size_t>(classes.node_class(vi))];
-    std::shared_ptr<const std::vector<double>> node_costs_ptr;
-    if (node_entry.rep != kInvalidNode &&
-        configs.at(node_entry.rep) == vi_configs) {
-      node_costs_ptr = node_entry.costs;
-      if (metrics) metrics->add_counter("dp.class_memo.node_hits", 1);
-    } else {
-      auto computed =
-          std::make_shared<std::vector<double>>(vi_configs.size());
-      for (size_t c = 0; c < vi_configs.size(); ++c) {
-        if (const auto cause = precompute_cause();
-            cause != DpResult::TripCause::kNone)
-          return degrade_or_fail(
-              abort_message(cause, "precomputing costs for vertex " +
-                                       std::to_string(i)),
-              cause);
-        (*computed)[c] = cost.node_cost(vi, vi_configs[c]);
-      }
-      node_costs_ptr = std::move(computed);
-      node_entry = {vi, node_costs_ptr};
+    // Pricing can dominate wall time on a single-large-vertex model — it
+    // makes |C(v^(i))| + sum_w |C(v^(i))| x |C(w)| cost-model calls before
+    // the reduce starts — so it carries its own amortized abort check
+    // (every 256 cost calls; a steady_clock read amortized over 256 cost
+    // evaluations is noise).
+    DpResult::TripCause price_cause;
+    {
+      PhaseScope pricing(trace, metrics, "pricing",
+                         "dp.phase.pricing_seconds");
+      price_cause = pricer.price(i, prices, abort_cause);
     }
-    const std::vector<double>& node_costs = *node_costs_ptr;
+    if (price_cause != DpResult::TripCause::kNone)
+      return degrade_or_fail(
+          abort_message(price_cause,
+                        "precomputing costs for vertex " + std::to_string(i)),
+          price_cause);
+    PASE_CHECK(std::all_of(
+        prices.later.begin(), prices.later.end(),
+        [&](const VertexPrices::LaterEdge& le) {
+          return std::binary_search(st.dependent.begin(), st.dependent.end(),
+                                    le.other);
+        }));
 
-    // Later edges of v^(i) (the H function's transfer terms) with their full
-    // |C(v^(i))| x |C(w)| cost matrices; every later neighbor w is in D(i).
-    // A matrix is shared across edges of the same structural class and
-    // orientation once both endpoint configuration lists are verified equal
-    // to the representative's.
-    struct LaterEdge {
-      NodeId other;
-      std::shared_ptr<const std::vector<double>>
-          cost_matrix;  ///< [ci * |C(w)| + cw]
+    // Anchors whose D(j) contains v^(i) are read once per C; the rest
+    // depend only on phi and are summed into the per-phi base. An inner
+    // anchor's entry for (phi, C) sits at its index with v^(i)'s digit left
+    // out, plus C x (v^(i)'s stride in its table).
+    struct InnerAnchor {
+      const PositionState* state;
+      u64 vi_stride;
     };
-    std::vector<LaterEdge> later_edges;
-    for (EdgeId eid : graph.incident_edges(vi)) {
-      const Edge& e = graph.edge(eid);
-      const NodeId w = e.src == vi ? e.dst : e.src;
-      if (order.pos[static_cast<size_t>(w)] <= i) continue;
-      PASE_CHECK(std::binary_search(st.dependent.begin(), st.dependent.end(),
-                                    w));
-      LaterEdge le;
-      le.other = w;
-      const auto& w_configs = configs.at(w);
-      ClassEdgeCosts& edge_entry =
-          class_edge_costs[2 * static_cast<size_t>(classes.edge_class(eid)) +
-                           (e.src == vi ? 1 : 0)];
-      if (edge_entry.rep_vi != kInvalidNode &&
-          configs.at(edge_entry.rep_vi) == vi_configs &&
-          configs.at(edge_entry.rep_other) == w_configs) {
-        le.cost_matrix = edge_entry.matrix;
-        if (metrics) metrics->add_counter("dp.class_memo.edge_hits", 1);
-      } else {
-        auto matrix = std::make_shared<std::vector<double>>(
-            vi_configs.size() * w_configs.size());
-        for (size_t ci = 0; ci < vi_configs.size(); ++ci)
-          for (size_t cw = 0; cw < w_configs.size(); ++cw) {
-            if (const auto cause = precompute_cause();
-                cause != DpResult::TripCause::kNone)
-              return degrade_or_fail(
-                  abort_message(cause, "precomputing costs for vertex " +
-                                           std::to_string(i)),
-                  cause);
-            const Config& src = e.src == vi ? vi_configs[ci] : w_configs[cw];
-            const Config& dst = e.src == vi ? w_configs[cw] : vi_configs[ci];
-            (*matrix)[ci * w_configs.size() + cw] =
-                cost.edge_cost(e, src, dst);
-          }
-        le.cost_matrix = std::move(matrix);
-        edge_entry = {vi, w, le.cost_matrix};
-      }
-      later_edges.push_back(std::move(le));
-    }
-
-    // Anchors whose D(j) contains v^(i) must be re-looked-up per C; the rest
-    // depend only on phi and are hoisted out of the configuration loop.
-    std::vector<i64> anchors_outer, anchors_inner;
+    std::vector<const PositionState*> anchors_outer;
+    std::vector<InnerAnchor> anchors_inner;
     for (i64 j : st.anchors) {
-      const auto& dj = states[static_cast<size_t>(j)].dependent;
-      const bool contains_vi =
-          std::binary_search(dj.begin(), dj.end(), vi);
-      (contains_vi ? anchors_inner : anchors_outer).push_back(j);
+      const PositionState& sj = states[static_cast<size_t>(j)];
+      const auto& dj = sj.dependent;
+      const auto at = std::lower_bound(dj.begin(), dj.end(), vi);
+      if (at != dj.end() && *at == vi)
+        anchors_inner.push_back(
+            {&sj, sj.stride[static_cast<size_t>(at - dj.begin())]});
+      else
+        anchors_outer.push_back(&sj);
       // Theory: D(j) is a subset of D(i) U {v^(i)} for X(j) in S(i).
       for (NodeId d : dj)
         PASE_CHECK(d == vi || std::binary_search(st.dependent.begin(),
@@ -530,26 +566,34 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
 
     st.table.resize(static_cast<size_t>(prod));
 
-    // Evaluates the phi linear-index range [p0, p1), writing each best
-    // Entry to its own table slot. `cur` is the caller's scratch config-
-    // index vector (one per worker in the parallel fan-out, so workers
-    // never share mutable state; table writes are to disjoint slots).
-    // Identical code runs in the sequential and parallel paths, and each
-    // phi's config scan uses strict less-than in enumeration order, so the
-    // filled table is bit-identical however the range is split.
-    auto process_range = [&](u64 p0, u64 p1, std::vector<u32>& cur) {
+    // The min-plus reduce over the phi linear-index range [p0, p1): for
+    // each phi it accumulates H + sum R into a |C(v^(i))| array, then scans
+    // it for the first strict minimum and writes that Entry to phi's own
+    // table slot. Every C's sum is added in a fixed order — base (the outer
+    // anchors), t_l, later edges in incident order, inner anchors in S(i)
+    // order — so the table is bit-identical however the range is split.
+    // `cur` (config index per node) and `acc` are the caller's scratch, one
+    // per worker in the parallel fan-out, so workers share no mutable state.
+    const size_t kc = vi_configs.size();
+    const double* const layer = prices.layer->data();
+    auto process_range = [&](u64 p0, u64 p1, std::vector<u32>& cur,
+                             std::vector<double>& acc_storage) {
       const size_t kd = st.dependent.size();
       std::vector<u32> odo(kd);
       for (size_t k = 0; k < kd; ++k) {
         odo[k] = static_cast<u32>((p0 / st.stride[k]) % st.radix[k]);
         cur[static_cast<size_t>(st.dependent[k])] = odo[k];
       }
+      // The inner anchors' lookups below leave v^(i)'s digit out.
+      cur[static_cast<size_t>(vi)] = 0;
+      acc_storage.resize(kc);
+      double* const acc = acc_storage.data();
       // Amortized abort check every ~8k *combinations* — counting phi
       // indices would let a vertex with few substrategies but a huge
       // configuration set blow far past the deadline between checks.
       u64 combos_since_check = 0;
       for (u64 idx = p0; idx < p1; ++idx) {
-        combos_since_check += vi_configs.size();
+        combos_since_check += kc;
         if (combos_since_check >= 8192) {
           combos_since_check = 0;
           if (cancel.load(std::memory_order_relaxed)) return;
@@ -560,26 +604,24 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         }
 
         double base = 0.0;
-        for (i64 j : anchors_outer) {
-          const PositionState& sj = states[static_cast<size_t>(j)];
-          base += sj.table[sj.index_of(cur)].cost;
+        for (const PositionState* sj : anchors_outer)
+          base += sj->table[sj->index_of(cur)].cost;
+        for (size_t ci = 0; ci < kc; ++ci) acc[ci] = base + layer[ci];
+        for (const VertexPrices::LaterEdge& le : prices.later) {
+          const double* const col =
+              le.matrix->data() +
+              static_cast<size_t>(cur[static_cast<size_t>(le.other)]) * kc;
+          for (size_t ci = 0; ci < kc; ++ci) acc[ci] += col[ci];
         }
-
+        for (const InnerAnchor& a : anchors_inner) {
+          const Entry* const column =
+              a.state->table.data() + a.state->index_of(cur);
+          for (size_t ci = 0; ci < kc; ++ci)
+            acc[ci] += column[ci * a.vi_stride].cost;
+        }
         Entry best{std::numeric_limits<double>::infinity(), 0};
-        for (size_t ci = 0; ci < vi_configs.size(); ++ci) {
-          double c = base + node_costs[ci];
-          for (const LaterEdge& le : later_edges)
-            c += (*le.cost_matrix)[ci * configs.at(le.other).size() +
-                                   cur[static_cast<size_t>(le.other)]];
-          if (!anchors_inner.empty()) {
-            cur[static_cast<size_t>(vi)] = static_cast<u32>(ci);
-            for (i64 j : anchors_inner) {
-              const PositionState& sj = states[static_cast<size_t>(j)];
-              c += sj.table[sj.index_of(cur)].cost;
-            }
-          }
-          if (c < best.cost) best = Entry{c, static_cast<u32>(ci)};
-        }
+        for (size_t ci = 0; ci < kc; ++ci)
+          if (acc[ci] < best.cost) best = Entry{acc[ci], static_cast<u32>(ci)};
         st.table[idx] = best;
 
         // Advance the odometer (digit k = dependent[k], stride order).
@@ -594,20 +636,26 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       }
     };
 
-    if (pool && prod > 1 && static_cast<u64>(work) >= kParallelWorkThreshold) {
-      // Chunk the phi range by index only — the decomposition (and hence
-      // every table entry) is independent of scheduling and thread count.
-      const i64 grain = std::max<i64>(
-          64, ceil_div(static_cast<i64>(prod), threads * 8));
-      pool->parallel_for(
-          0, static_cast<i64>(prod), grain,
-          [&](i64 b0, i64 b1) {
-            std::vector<u32> cur(static_cast<size_t>(n), 0);
-            process_range(static_cast<u64>(b0), static_cast<u64>(b1), cur);
-          },
-          &cancel);
-    } else {
-      process_range(0, prod, cur_idx);
+    {
+      PhaseScope reduce(trace, metrics, "reduce", "dp.phase.reduce_seconds");
+      if (pool && prod > 1 &&
+          static_cast<u64>(work) >= kParallelWorkThreshold) {
+        // Chunk the phi range by index only — the decomposition (and hence
+        // every table entry) is independent of scheduling and thread count.
+        const i64 grain = std::max<i64>(
+            64, ceil_div(static_cast<i64>(prod), threads * 8));
+        pool->parallel_for(
+            0, static_cast<i64>(prod), grain,
+            [&](i64 b0, i64 b1) {
+              std::vector<u32> cur(static_cast<size_t>(n), 0);
+              std::vector<double> acc;
+              process_range(static_cast<u64>(b0), static_cast<u64>(b1), cur,
+                            acc);
+            },
+            &cancel);
+      } else {
+        process_range(0, prod, cur_idx, acc_seq);
+      }
     }
     if (cancel.load(std::memory_order_relaxed)) {
       // Classify after the fact: the external token stays set and an
@@ -650,7 +698,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   if (metrics)
     metrics->add_counter("dp.roots", static_cast<u64>(roots.size()));
 
-  record_cache_stats();
   result.elapsed_seconds = timer.elapsed_seconds();
   record_metrics();
   return result;

@@ -9,11 +9,16 @@
 // where H is the layer cost of v^(i) plus its transfer costs to later
 // neighbors, and the R(j, .) values are read from the DP tables of the
 // connected-subset anchors. D(i) and S(i) come from one pass over the
-// sequence (compute_all_vertex_sets), and the H terms are priced once per
-// structural class of layer and edge (CostCache::node_class/edge_class):
-// vertices of the same class share their t_l vector and t_x matrices.
+// sequence (compute_all_vertex_sets). Each vertex is then handled in two
+// steps (dp_solver.cc):
+//   pricing  the H terms — the t_l vector of v^(i) and the t_x matrix of
+//            each later edge — priced once per structural class of layer
+//            and edge (LayerClasses): vertices of the same class share them;
+//   reduce   a min-plus kernel that, for one phi at a time, adds those
+//            prices and the anchors' R values into a |C(v^(i))| array and
+//            keeps its first strict minimum.
 // Tables are dense vectors indexed by the configuration choices of the
-// dependent-set nodes (see dp_solver.cc). A table/work guard reports the same
+// dependent-set nodes. A table/work guard reports the same
 // out-of-memory outcome the paper observes for breadth-first ordering on
 // InceptionV3 and Transformer (Table I) without actually exhausting RAM;
 // with DpOptions::degraded_fallback, a tripped guard (or an expired
@@ -33,9 +38,7 @@
 // less-than, exactly as the sequential loop does. Consequently the returned
 // strategy, cost, status and diagnostics are BIT-IDENTICAL at every thread
 // count (verified by tests/determinism_test.cc); only elapsed_seconds
-// varies. The cost-model memoization cache (DpOptions::use_cost_cache) is
-// likewise invisible in the results: cost functions are pure, so cache hits
-// return the same bits a recomputation would.
+// varies. Pricing runs on the calling thread before each vertex's fan-out.
 //
 // find_best_strategy() itself is a pure function of (graph, options) plus
 // wall-clock effects (deadline): concurrent calls from different threads
@@ -71,8 +74,8 @@ struct DpOptions {
 
   /// Wall-clock budget for the exact DP; 0 = unlimited. Expiry is treated
   /// like a tripped guard (fallback or kOutOfMemory). Checked between
-  /// vertices, inside the precompute loops, and (amortized, every few
-  /// thousand combinations) inside the table-fill inner loop, so even a
+  /// vertices, inside pricing (every 256 cost evaluations), and (amortized,
+  /// every few thousand combinations) inside the reduce, so even a
   /// single-large-vertex model honors a tight budget promptly.
   double deadline_seconds = 0.0;
   /// Optional external cancellation token (e.g. a serving watchdog). When
@@ -96,28 +99,10 @@ struct DpOptions {
   /// Results are bit-identical at any setting (see file comment).
   i64 num_threads = 1;
 
-  /// Memoize t_l/t_x across structurally identical layers and edges (see
-  /// cost/cost_cache.h). Never changes results; pase_cli --no-cost-cache
-  /// disables it for ablation. The per-class sharing every solve does
-  /// (file comment) is independent of this flag: it already serves most
-  /// in-solve repeats, so the memo pays off mainly when shared across
-  /// solves. The shared cache's classes, when given, also key that sharing.
-  bool use_cost_cache = true;
-  /// Optional caller-owned cost cache shared across solves (the serving
-  /// daemon keeps one warm per (graph signature, cost params) pair so a hot
-  /// re-query skips every t_l/t_x recomputation). When non-null (and
-  /// use_cost_cache is true) the solver uses it instead of constructing a
-  /// fresh per-solve cache; DpResult hit/miss stats then report this
-  /// solve's *delta* only. Contract: the cache must have been built against
-  /// a graph structurally identical to `graph` (same nodes/edges in the
-  /// same order) under identical CostParams — see cost/cost_cache.h. The
-  /// cache is thread-safe; it never changes results (cost functions are
-  /// pure). Must outlive the call.
-  CostCache* shared_cost_cache = nullptr;
-
   /// Optional observability sinks (src/obs); either or both may be null.
-  /// `trace` records phase and per-vertex spans (ordering, dep_sets,
-  /// table_fill, back_substitution, worker task spans); `metrics` collects
+  /// `trace` records phase and per-vertex spans (ordering, configs,
+  /// dep_sets, table_fill with its nested pricing and reduce,
+  /// back_substitution, worker task spans); `metrics` collects
   /// dp.* counters/histograms/gauges. Attaching them never changes results,
   /// and every structural metric recorded is bit-identical across thread
   /// counts (see src/obs/metrics.h and DESIGN.md §9). Both must outlive the
@@ -160,9 +145,6 @@ struct DpResult {
 
   /// Worker threads actually used (DpOptions::num_threads resolved).
   i64 threads_used = 1;
-  /// Cost-cache statistics (both zero when the cache is disabled).
-  u64 cost_cache_hits = 0;
-  u64 cost_cache_misses = 0;
 };
 
 /// Stable wire name for a trip cause ("table_guard", "deadline", ...;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cost/cost_cache.h"
 #include "util/check.h"
 
 namespace pase {
@@ -185,26 +184,6 @@ double edge_flop_byte_ratio(const CostParams& params, const Config& src_config,
                             const Config& dst_config) {
   if (!params.heterogeneity_aware()) return params.r;
   return params.group_r(std::max(src_config.degree(), dst_config.degree()));
-}
-
-double CostModel::cached_node_cost(NodeId v, const Config& config) const {
-  double c;
-  if (cache_->lookup_node(v, config, &c)) return c;
-  c = layer_cost(graph_->node(v), config, params_);
-  cache_->store_node(v, config, c);
-  return c;
-}
-
-double CostModel::cached_edge_cost(const Edge& e, const Config& src_config,
-                                   const Config& dst_config) const {
-  const double ratio = edge_flop_byte_ratio(params_, src_config, dst_config);
-  if (e.id < 0)  // synthetic edge not registered in the graph: no memo slot
-    return ratio * transfer_bytes(e, src_config, dst_config, params_);
-  double c;
-  if (cache_->lookup_edge(e.id, src_config, dst_config, &c)) return c;
-  c = ratio * transfer_bytes(e, src_config, dst_config, params_);
-  cache_->store_edge(e.id, src_config, dst_config, c);
-  return c;
 }
 
 CostBreakdown CostModel::evaluate(const Strategy& phi) const {

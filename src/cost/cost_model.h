@@ -159,20 +159,16 @@ struct CostBreakdown {
   double total() const { return layer + transfer; }
 };
 
-class CostCache;
-
 /// Evaluates Eq. (1) for full strategies and supports O(degree) incremental
 /// re-evaluation when one node's configuration changes (used by the MCMC
 /// search and by the DP's H function).
 ///
-/// Thread-safety: a CostModel is immutable after construction (and after an
-/// optional attach_cache()), and every member function is const and free of
-/// hidden state, so one instance may be shared by any number of threads —
-/// the parallel DP solver and multi-chain MCMC rely on this. An attached
-/// CostCache is internally synchronized (see cost_cache.h) and, because
-/// cost functions are pure, memoization returns bit-identical values
-/// regardless of which thread populated an entry first; results therefore
-/// never depend on thread count or on whether the cache is enabled.
+/// Thread-safety: a CostModel is immutable after construction, and every
+/// member function is const and free of hidden state, so one instance may
+/// be shared by any number of threads — the parallel DP solver and
+/// multi-chain MCMC rely on this. Every query evaluates the closed forms
+/// directly: they cost tens of nanoseconds, less than a hash-map lookup of
+/// a memoized value would.
 class CostModel {
  public:
   CostModel(const Graph& graph, CostParams params)
@@ -181,22 +177,13 @@ class CostModel {
   const Graph& graph() const { return *graph_; }
   const CostParams& params() const { return params_; }
 
-  /// Attaches a memoization cache for node/edge cost queries. `cache` must
-  /// be built over the same graph and outlive this model, and must not be
-  /// shared across CostModels with different CostParams (cached values bake
-  /// the params in). Pass nullptr to detach.
-  void attach_cache(CostCache* cache) { cache_ = cache; }
-  const CostCache* cache() const { return cache_; }
-
   double node_cost(NodeId v, const Config& config) const {
-    if (cache_) return cached_node_cost(v, config);
     return layer_cost(graph_->node(v), config, params_);
   }
 
   /// r * t_x for edge e, in FLOPs.
   double edge_cost(const Edge& e, const Config& src_config,
                    const Config& dst_config) const {
-    if (cache_) return cached_edge_cost(e, src_config, dst_config);
     return edge_flop_byte_ratio(params_, src_config, dst_config) *
            transfer_bytes(e, src_config, dst_config, params_);
   }
@@ -226,13 +213,8 @@ class CostModel {
   }
 
  private:
-  double cached_node_cost(NodeId v, const Config& config) const;
-  double cached_edge_cost(const Edge& e, const Config& src_config,
-                          const Config& dst_config) const;
-
   const Graph* graph_;
   CostParams params_;
-  CostCache* cache_ = nullptr;
 };
 
 }  // namespace pase

@@ -1,4 +1,4 @@
-#include "cost/cost_cache.h"
+#include "cost/layer_classes.h"
 
 #include <map>
 
@@ -51,7 +51,7 @@ std::vector<double> edge_signature(const Edge& e) {
 
 }  // namespace
 
-CostCache::CostCache(const Graph& graph) {
+LayerClasses::LayerClasses(const Graph& graph) {
   std::map<std::vector<double>, u32> node_ids;
   node_class_.reserve(static_cast<size_t>(graph.num_nodes()));
   for (const Node& n : graph.nodes()) {
@@ -71,50 +71,6 @@ CostCache::CostCache(const Graph& graph) {
     edge_class_.push_back(it->second);
   }
   num_edge_classes_ = static_cast<i64>(edge_ids.size());
-}
-
-bool CostCache::lookup_node(NodeId v, const Config& c, double* out) const {
-  const NodeKey key{node_class(v), c};
-  const NodeShard& shard = node_shards_[shard_of(NodeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
-}
-
-void CostCache::store_node(NodeId v, const Config& c, double cost) {
-  const NodeKey key{node_class(v), c};
-  NodeShard& shard = node_shards_[shard_of(NodeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  shard.map.emplace(key, cost);
-}
-
-bool CostCache::lookup_edge(EdgeId e, const Config& src, const Config& dst,
-                            double* out) const {
-  const EdgeKey key{edge_class(e), src, dst};
-  const EdgeShard& shard = edge_shards_[shard_of(EdgeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  *out = it->second;
-  return true;
-}
-
-void CostCache::store_edge(EdgeId e, const Config& src, const Config& dst,
-                           double cost) {
-  const EdgeKey key{edge_class(e), src, dst};
-  EdgeShard& shard = edge_shards_[shard_of(EdgeKeyHash{}(key))];
-  std::lock_guard<std::mutex> lk(shard.mu);
-  shard.map.emplace(key, cost);
 }
 
 }  // namespace pase

@@ -3,7 +3,7 @@
 // -> residual add — repeated N times between an embedding head and a
 // LayerNorm + vocabulary-projection + softmax tail. Every block is
 // byte-for-byte structurally identical (same extents, same edge wiring
-// offsets), so every block falls into the same CostCache classes and the
+// offsets), so every block falls into the same LayerClasses classes and the
 // solver prices one 6-node block however large N is. N is capped only by
 // memory; the thousand-layer configurations in docs/BENCHMARKS.md use this
 // family.

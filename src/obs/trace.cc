@@ -145,7 +145,7 @@ PhaseScope::PhaseScope(TraceSession* trace, MetricsRegistry* metrics,
     : span_(trace, span_name),
       metrics_(metrics),
       gauge_name_(gauge_name),
-      start_ns_(steady_ns()) {}
+      start_ns_(metrics ? steady_ns() : 0.0) {}
 
 PhaseScope::~PhaseScope() {
   if (metrics_ && gauge_name_)

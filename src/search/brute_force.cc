@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 
-#include "cost/cost_cache.h"
 #include "util/thread_pool.h"
 
 namespace pase {
@@ -59,14 +58,9 @@ std::pair<double, u64> sweep_range(const ConfigCache& configs,
 
 std::optional<BruteForceResult> brute_force_search(
     const Graph& graph, const ConfigOptions& config_options,
-    const CostParams& cost_params, u64 max_strategies, i64 num_threads,
-    bool use_cost_cache) {
+    const CostParams& cost_params, u64 max_strategies, i64 num_threads) {
   const ConfigCache configs(graph, config_options);
-
-  std::optional<CostCache> cache;
-  if (use_cost_cache) cache.emplace(graph);
-  CostModel cost(graph, cost_params);
-  if (cache) cost.attach_cache(&*cache);
+  const CostModel cost(graph, cost_params);
 
   const i64 n = graph.num_nodes();
   double total_d = 1.0;

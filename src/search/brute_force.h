@@ -29,11 +29,9 @@ struct BruteForceResult {
 /// Enumerates every valid strategy and returns the minimum-cost one.
 /// Returns nullopt if the total strategy count exceeds `max_strategies`.
 /// `num_threads`: 1 = sequential, 0 = hardware concurrency, N = exactly N.
-/// `use_cost_cache` memoizes t_l/t_x across structurally identical
-/// layers/edges (never changes results).
 std::optional<BruteForceResult> brute_force_search(
     const Graph& graph, const ConfigOptions& config_options,
     const CostParams& cost_params, u64 max_strategies = u64{1} << 26,
-    i64 num_threads = 1, bool use_cost_cache = true);
+    i64 num_threads = 1);
 
 }  // namespace pase

@@ -1,9 +1,7 @@
 #include "search/mcmc.h"
 
 #include <cmath>
-#include <optional>
 
-#include "cost/cost_cache.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -91,10 +89,7 @@ McmcResult mcmc_search(const Graph& graph,
   WallTimer timer;
   const ConfigCache configs(graph, config_options);
 
-  std::optional<CostCache> cache;
-  if (options.use_cost_cache) cache.emplace(graph);
-  CostModel cost(graph, cost_params);
-  if (cache) cost.attach_cache(&*cache);
+  const CostModel cost(graph, cost_params);
 
   const u64 chains = std::max<u64>(1, options.num_chains);
   std::vector<McmcResult> per_chain(chains);

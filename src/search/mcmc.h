@@ -49,10 +49,6 @@ struct McmcOptions {
   /// Worker threads for the chain fan-out: 1 = sequential (no pool),
   /// 0 = hardware concurrency, N = exactly N.
   i64 num_threads = 1;
-
-  /// Memoize t_l/t_x across structurally identical layers/edges for the
-  /// analytical objective (never changes results).
-  bool use_cost_cache = true;
 };
 
 struct McmcResult {

@@ -13,7 +13,6 @@
 
 #include "comm/comm_model.h"
 #include "core/dp_solver.h"
-#include "cost/cost_cache.h"
 #include "cost/cost_model.h"
 #include "cost/machine.h"
 #include "hetero/hetero.h"
@@ -31,9 +30,9 @@ namespace pase::serve {
 
 namespace {
 
-/// Bound on distinct (graph, machine) cost caches / comm models kept warm;
-/// past it the memos are dropped wholesale and simply warm up again (the
-/// result cache has real LRU — these are cheap to rebuild by comparison).
+/// Bound on distinct comm models kept warm; past it the memo is dropped
+/// wholesale and simply warms up again (the result cache has real LRU —
+/// these are cheap to rebuild by comparison).
 constexpr size_t kMaxWarmMemos = 64;
 
 std::optional<Graph> build_zoo_graph(const std::string& name) {
@@ -141,24 +140,6 @@ void ServeCore::watchdog_main() {
   }
 }
 
-std::shared_ptr<CostCache> ServeCore::cost_cache_for(const ResultKey& key,
-                                                     const Graph& graph) {
-  // Cost values depend on (graph structure, machine, devices, comm model)
-  // but not on the memory cap or beam width.
-  u64 h = key.graph_sig;
-  for (const char c : key.machine) h = hash_combine(h, static_cast<u8>(c));
-  h = hash_combine(h, static_cast<u64>(key.devices));
-  for (const char c : key.comm_model)
-    h = hash_combine(h, static_cast<u8>(c));
-  std::lock_guard<std::mutex> lk(caches_mu_);
-  auto it = cost_caches_.find(h);
-  if (it != cost_caches_.end()) return it->second;
-  if (cost_caches_.size() >= kMaxWarmMemos) cost_caches_.clear();
-  auto cache = std::make_shared<CostCache>(graph);
-  cost_caches_[h] = cache;
-  return cache;
-}
-
 std::shared_ptr<const CommModel> ServeCore::comm_model_for(
     const ServeRequest& request) {
   u64 h = 0x9e3779b97f4a7c15ull;
@@ -169,7 +150,7 @@ std::shared_ptr<const CommModel> ServeCore::comm_model_for(
   h = hash_combine(h, static_cast<u64>(request.devices));
   for (const char c : request.comm_model)
     h = hash_combine(h, static_cast<u8>(c));
-  std::lock_guard<std::mutex> lk(caches_mu_);
+  std::lock_guard<std::mutex> lk(comm_models_mu_);
   auto it = comm_models_.find(h);
   if (it != comm_models_.end()) return it->second;
   if (comm_models_.size() >= kMaxWarmMemos) comm_models_.clear();
@@ -519,9 +500,7 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
       CostParams params = hetero_cost_params(
           *resolve_machine(req), *parse_comm_model_kind(req.comm_model));
       if (params.comm) params.comm = comm_model_for(req);
-      CostModel cost(graph, params);
-      auto shared_cache = cost_cache_for(key, graph);
-      cost.attach_cache(shared_cache.get());
+      const CostModel cost(graph, params);
       verified = cost.total_cost(entry.strategy) == entry.check_cost;
     }
     if (verified) {
@@ -717,8 +696,6 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   options.degraded_fallback = true;
   options.beam_width = req.beam_width;
   options.num_threads = options_.solver_threads;
-  auto shared_cache = cost_cache_for(key, graph);
-  options.shared_cost_cache = shared_cache.get();
   options.metrics = &metrics_;
   // The solver's phase spans (ordering, table_fill, ...) nest inside this
   // lane's "solve" span in the request's own session.
@@ -729,9 +706,9 @@ ServeCore::SolveOutcome ServeCore::run_solve(
   if (req.pipeline_stages != 1) {
     // The pipeline-stage dimension: the boundary DP cuts the graph and
     // re-parallelizes each stage under the same options (deadline, cancel
-    // token, split-dim gates, shared cost cache all thread through). The
-    // composed result carries a full-graph strategy and its Eq. (1) cost,
-    // so the cache/verify/render paths below need no special casing.
+    // token and split-dim gates all thread through). The composed result
+    // carries a full-graph strategy and its Eq. (1) cost, so the
+    // cache/verify/render paths below need no special casing.
     PipelineSearchOptions popts;
     popts.stages = req.pipeline_stages;
     popts.microbatches = req.microbatches;
@@ -777,8 +754,7 @@ ServeCore::SolveOutcome ServeCore::run_solve(
       // check_cost is the exact value verify-on-hit will recompute: the
       // pure Eq. (1) re-evaluation, not the DP's table sum (they can
       // differ in floating-point association).
-      CostModel cost(graph, options.cost_params);
-      cost.attach_cache(shared_cache.get());
+      const CostModel cost(graph, options.cost_params);
       entry.check_cost = cost.total_cost(entry.strategy);
     }
     const u64 khash = key.hash();

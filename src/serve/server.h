@@ -22,11 +22,10 @@
 //    watchdog thread additionally cancels solves that overrun budget +
 //    grace (e.g. an injected worker stall) via the solver's cancellation
 //    token; a killed solve answers `error`.
-//  * Warm state: a (graph signature, machine, p, ...) -> result LRU, a
-//    shared CostCache per graph/machine pair, and a CommModel memo
-//    survive across requests. Cached results are verified on every hit
-//    (see result_cache.h) and only timing-independent results are stored,
-//    so a cache hit is byte-identical to a fresh solve.
+//  * Warm state: a (graph signature, machine, p, ...) -> result LRU and a
+//    CommModel memo survive across requests. Cached results are verified
+//    on every hit (see result_cache.h) and only timing-independent results
+//    are stored, so a cache hit is byte-identical to a fresh solve.
 //
 // Observability invariants (DESIGN.md §11):
 //  * Every request gets exactly one event-log line (obs/event_log.h),
@@ -68,7 +67,6 @@
 #include "util/thread_pool.h"
 
 namespace pase {
-class CostCache;
 class CommModel;
 }  // namespace pase
 
@@ -233,8 +231,6 @@ class ServeCore {
                          std::chrono::steady_clock::time_point submitted,
                          double deadline_ms, const InjectDraw& draw,
                          TraceSession* trace, u64 seq);
-  std::shared_ptr<CostCache> cost_cache_for(const ResultKey& key,
-                                            const Graph& graph);
   std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request);
   void watchdog_main();
   /// Renders + appends the one event-log line for this request.
@@ -256,8 +252,7 @@ class ServeCore {
   RollingHistogram roll_queue_;
   RollingHistogram roll_solve_;
 
-  std::mutex caches_mu_;
-  std::unordered_map<u64, std::shared_ptr<CostCache>> cost_caches_;
+  std::mutex comm_models_mu_;
   std::unordered_map<u64, std::shared_ptr<const CommModel>> comm_models_;
 
   std::mutex flight_mu_;

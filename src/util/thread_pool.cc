@@ -173,7 +173,17 @@ void ThreadPool::parallel_for(i64 begin, i64 end, i64 grain,
   while (shared->done.load(std::memory_order_acquire) < nchunks) {
     if (!run_one()) std::this_thread::yield();
   }
-  if (shared->err) std::rethrow_exception(shared->err);
+  // Take the exception out of `shared` before rethrowing: a worker's copy
+  // of `drain` may still hold the last reference to `shared` and destroy it
+  // after the caller's catch block has started reading the exception. With
+  // the exception owned by this frame, that worker frees nothing the
+  // caller can still see.
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> lk(shared->err_mu);
+    err = std::move(shared->err);
+  }
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace pase

@@ -10,6 +10,7 @@
 #include "core/dp_solver.h"
 #include "models/models.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "search/baselines.h"
 #include "search/brute_force.h"
 #include "search/mcmc.h"
@@ -55,7 +56,7 @@ TEST(Determinism, DpSolverIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, StructuralMetricsIdenticalAcrossThreadCounts) {
   // The observability contract (src/obs/metrics.h, DESIGN.md §9): every
-  // counter and histogram the solver records — cost-cache hits/misses,
+  // counter and histogram the solver records — per-class price reuse,
   // per-vertex substrategy counts, dependent-set sizes — is a pure function
   // of the input, so the structural JSON dump must be BYTE-identical at any
   // thread count. Gauges (timings) are exempt and not compared.
@@ -75,10 +76,6 @@ TEST(Determinism, StructuralMetricsIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(reg.structural_json(), base_json) << "threads=" << threads;
     // The same quantities via the solver's own diagnostics.
-    EXPECT_EQ(r.cost_cache_hits, base.cost_cache_hits)
-        << "threads=" << threads;
-    EXPECT_EQ(r.cost_cache_misses, base.cost_cache_misses)
-        << "threads=" << threads;
     EXPECT_EQ(r.dependent_set_sizes, base.dependent_set_sizes)
         << "threads=" << threads;
     EXPECT_EQ(r.max_combinations_analyzed, base.max_combinations_analyzed)
@@ -87,13 +84,15 @@ TEST(Determinism, StructuralMetricsIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, DpSolverCacheDoesNotChangeResults) {
-  // Threading and the cost cache compose: 8 threads + cache must still
-  // match 1 thread without the cache.
+  // Threading and the observability sinks compose: 8 threads with metrics
+  // and a trace attached must still match a bare 1-thread solve.
   const Graph g = models::inception_v3();
-  DpOptions plain = options_for(8, 1);
-  plain.use_cost_cache = false;
+  const DpOptions plain = options_for(8, 1);
+  MetricsRegistry reg;
+  TraceSession session;
   DpOptions fancy = options_for(8, 8);
-  fancy.use_cost_cache = true;
+  fancy.metrics = &reg;
+  fancy.trace = &session;
   const DpResult a = find_best_strategy(g, plain);
   const DpResult b = find_best_strategy(g, fancy);
   ASSERT_EQ(a.status, b.status);

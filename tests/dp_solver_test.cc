@@ -291,13 +291,16 @@ TEST(DpSolver, DeadlineWithoutFallbackFailsWithReason) {
 }
 
 TEST(DpSolver, DeadlineHonoredInsideSingleLargeVertex) {
-  // Granularity regression: with the guards lifted, InceptionV3 at p = 64
-  // spends its time *inside* individual vertices (large substrategy tables
-  // x large config sets), so a solver that only checked the deadline
-  // between vertices would overrun a tight budget by orders of magnitude.
-  // The amortized in-loop checks must trip it promptly mid-vertex.
+  // Granularity regression: with the guards lifted and every split factor
+  // allowed (not only powers of two; K = 300), InceptionV3 at p = 32
+  // spends its time *inside* individual vertices (large t_x matrices,
+  // large substrategy tables x large config sets; the full solve takes
+  // seconds), so a solver that only checked the deadline between vertices
+  // would overrun a tight budget by orders of magnitude. The amortized
+  // in-loop checks must trip it promptly mid-vertex.
   const Graph g = models::inception_v3();
-  auto opt = options_for(64);
+  auto opt = options_for(32);
+  opt.config_options.powers_of_two_only = false;
   opt.max_table_entries = u64{1} << 40;  // don't let the guards fire first
   opt.max_combinations = u64{1} << 50;
   opt.deadline_seconds = 0.05;
@@ -307,8 +310,8 @@ TEST(DpSolver, DeadlineHonoredInsideSingleLargeVertex) {
   ASSERT_EQ(r.status, DpStatus::kDegraded) << r.guard_reason;
   EXPECT_EQ(r.trip_cause, DpResult::TripCause::kDeadline);
   EXPECT_NE(r.guard_reason.find("deadline"), std::string::npos);
-  // "Promptly": the full solve takes minutes; the in-loop checks bound the
-  // overrun to a few thousand combinations plus the beam fallback.
+  // "Promptly": the in-loop checks bound the overrun to a few thousand
+  // combinations plus the beam fallback.
   EXPECT_LT(r.elapsed_seconds, 10.0);
   EXPECT_TRUE(strategy_valid(g, r.strategy, opt.config_options));
 }
@@ -377,6 +380,20 @@ TEST(DpSolver, ReportsKAndWork) {
   EXPECT_GT(r.max_configs, 1);
   EXPECT_GT(r.max_combinations_analyzed, 0u);
   EXPECT_GE(r.elapsed_seconds, 0.0);
+}
+
+TEST(DpSolver, BackSubstitutionSurvivesDeepChains) {
+  // transformer_stack(25000) is a chain of 150 004 positions whose S(i)
+  // anchors nest once per layer: a back-substitution that recursed once
+  // per anchor overflowed the default 8 MB stack long before the end.
+  const Graph g = models::transformer_stack(25000);
+  ASSERT_EQ(g.num_nodes(), 150004);
+  const DpOptions opt = options_for(2);
+  const DpResult r = find_best_strategy(g, opt);
+  ASSERT_EQ(r.status, DpStatus::kOk);
+  EXPECT_TRUE(strategy_valid(g, r.strategy, opt.config_options));
+  const CostModel cm(g, opt.cost_params);
+  EXPECT_NEAR(cm.total_cost(r.strategy), r.best_cost, 1e-9 * r.best_cost);
 }
 
 TEST(DpSolver, CostDecreasesWithMoreDevices) {

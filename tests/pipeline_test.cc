@@ -2,9 +2,9 @@
 
 #include <set>
 
-#include "cost/cost_cache.h"
 #include "cost/cost_model.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "search/baselines.h"
 
@@ -224,8 +224,9 @@ TEST(PipelineSearch, InfeasiblePartitionReportsInfeasibleNotAbort) {
 }
 
 TEST(PipelineSearch, SharedCostCacheDoesNotChangeStageSolves) {
-  // The serving daemon passes a cost cache built for the full graph; the
-  // stage subgraphs renumber nodes and edges, so they must not use it.
+  // The serving daemon's solver options (a metrics sink, solver threads,
+  // the degraded fallback) thread through to every stage solve; none of
+  // them may change the composed answer.
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   for (const char* name : {"alexnet", "transformer_pipelined"}) {
     const Graph g = *models::zoo_graph(name);
@@ -233,11 +234,13 @@ TEST(PipelineSearch, SharedCostCacheDoesNotChangeStageSolves) {
     popts.stages = 2;
     const PipelinedSearchResult plain =
         find_best_pipelined_strategy(g, m, search_solver(m), popts);
-    CostCache shared(g);
-    DpOptions with_cache = search_solver(m);
-    with_cache.shared_cost_cache = &shared;
+    MetricsRegistry reg;
+    DpOptions served = search_solver(m);
+    served.metrics = &reg;
+    served.num_threads = 2;
+    served.degraded_fallback = true;
     const PipelinedSearchResult cached =
-        find_best_pipelined_strategy(g, m, with_cache, popts);
+        find_best_pipelined_strategy(g, m, served, popts);
     ASSERT_EQ(plain.dp.status, DpStatus::kOk) << name;
     EXPECT_EQ(cached.dp.best_cost, plain.dp.best_cost) << name;
     EXPECT_TRUE(cached.dp.strategy == plain.dp.strategy) << name;

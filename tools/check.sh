@@ -4,7 +4,7 @@
 # checks that every file exits with its documented code (tests/corpus/
 # README.md) instead of crashing or tripping a sanitizer. A second build
 # under TSan (-DPASE_SANITIZE=thread) runs the concurrency-relevant tests
-# (ThreadPool, CostCache, Determinism, DpSolver) to catch data races in the
+# (ThreadPool, LayerClasses, Determinism, DpSolver) to catch data races in the
 # parallel search engine, and a third build under UBSan alone
 # (-DPASE_SANITIZE=undefined) re-runs the full unit suite — UBSan combined
 # with ASan suppresses some checks, so the standalone stage is stricter.
@@ -134,12 +134,13 @@ mkdir -p "$OBS_TMP"
 expect 0 "trace + metrics outputs" -- \
   "$ROOT/tools/example_model.pase" --devices 8 \
   --trace-out "$OBS_TMP/trace.json" --metrics-out "$OBS_TMP/metrics.json"
-for phase in ordering configs dep_sets table_fill back_substitution; do
+for phase in ordering configs dep_sets table_fill pricing reduce \
+             back_substitution; do
   grep -q "\"name\":\"$phase\"" "$OBS_TMP/trace.json" \
     || bad "trace missing phase span: $phase"
 done
-grep -q '"dp.cost_cache.misses"' "$OBS_TMP/metrics.json" \
-  || bad "metrics snapshot missing dp.cost_cache.misses"
+grep -q '"dp.combinations"' "$OBS_TMP/metrics.json" \
+  || bad "metrics snapshot missing dp.combinations"
 # The structural sections (counters + histograms; everything before the
 # volatile gauges) must be byte-identical across thread counts.
 "$CLI" "$ROOT/tools/example_model.pase" --devices 8 --threads 1 \
@@ -158,8 +159,8 @@ note "Prometheus metrics exposition (--metrics-format prom)"
 expect 0 "prom metrics snapshot" -- \
   "$ROOT/tools/example_model.pase" --devices 8 \
   --metrics-out "$OBS_TMP/metrics.prom" --metrics-format prom
-grep -q '^# TYPE pase_dp_cost_cache_misses counter$' "$OBS_TMP/metrics.prom" \
-  || bad "prom snapshot missing pase_dp_cost_cache_misses counter"
+grep -q '^# TYPE pase_dp_combinations counter$' "$OBS_TMP/metrics.prom" \
+  || bad "prom snapshot missing pase_dp_combinations counter"
 grep -q '_bucket{le="+Inf"}' "$OBS_TMP/metrics.prom" \
   || bad "prom snapshot missing histogram +Inf bucket"
 # Gauges must come last: no counter/histogram TYPE line after the first
@@ -262,7 +263,7 @@ if [ -f "$TSAN_BUILD/CMakeCache.txt" ]; then
   if [ -x "$TSAN_BUILD/tests/pase_tests" ]; then
     note "running concurrency tests under TSan"
     TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/pase_tests" \
-        --gtest_filter='ThreadPool.*:CostCache.*:Determinism.*:DpSolver*.*:Serve*.*:HaloCost.*' \
+        --gtest_filter='ThreadPool.*:LayerClasses.*:Determinism.*:DpSolver*.*:Serve*.*:HaloCost.*' \
       || bad "TSan concurrency tests"
   fi
 fi

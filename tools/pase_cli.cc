@@ -5,7 +5,7 @@
 //            [--machine-spec FILE]
 //            [--memory-gb G] [--baseline] [--export FILE] [--trace FILE]
 //            [--deadline SECONDS] [--strict] [--beam-width N]
-//            [--threads N] [--no-cost-cache] [--comm-model MODE]
+//            [--threads N] [--comm-model MODE]
 //            [--max-model-nodes N]
 //            [--zoo NAME]
 //            [--split-dims LIST] [--pipeline-stages N|auto]
@@ -24,9 +24,7 @@
 //
 // Search engine options: --threads N fans the DP's per-vertex cost
 // evaluations across N worker threads (0 = hardware concurrency, the
-// default; results are bit-identical at any setting); --no-cost-cache
-// disables the memoization of layer/transfer costs across structurally
-// identical layers.
+// default; results are bit-identical at any setting).
 //
 // Heterogeneous clusters: --machine-spec FILE loads a machine description
 // (JSON; src/hetero/machine_file.h) with per-device FLOPS and per-link
@@ -110,7 +108,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "          [--trace-out FILE] [--metrics-out FILE]\n"
       "          [--metrics-format json|prom]\n"
       "          [--deadline SECONDS] [--strict] [--beam-width N]\n"
-      "          [--threads N] [--no-cost-cache]\n"
+      "          [--threads N]\n"
       "          [--comm-model simple|auto|ring|tree|hd|hier]\n"
       "          [--max-table-entries N] [--max-combinations N]\n"
       "          [--max-model-nodes N]\n"
@@ -145,8 +143,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "            (Prometheus text exposition) for --metrics-out\n"
       "search engine: --threads N worker threads for the DP fan-out\n"
       "            (0 = hardware concurrency, the default; results are\n"
-      "            bit-identical at any thread count); --no-cost-cache\n"
-      "            disables layer/transfer cost memoization\n"
+      "            bit-identical at any thread count)\n"
       "input limits: --max-model-nodes N rejects models with more than N\n"
       "            layers before any solver work (0 = unlimited, the\n"
       "            default); dimension products that would overflow 64-bit\n"
@@ -225,7 +222,6 @@ int main(int argc, char** argv) {
   bool strict = false;
   i64 beam_width = 256;
   i64 threads = 0;  // 0 = hardware concurrency
-  bool no_cost_cache = false;
   CommModelKind comm_kind = CommModelKind::kSimple;
   i64 max_table_entries = 0;  // 0 = DpOptions default
   i64 max_combinations = 0;
@@ -297,8 +293,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--threads") == 0) {
       if (!value(&v) || !parse_i64_flag(arg, v, 0, &threads))
         return kExitUsage;
-    } else if (std::strcmp(arg, "--no-cost-cache") == 0) {
-      no_cost_cache = true;
     } else if (std::strcmp(arg, "--comm-model") == 0) {
       if (!value(&v)) return kExitUsage;
       const auto kind = parse_comm_model_kind(v);
@@ -514,7 +508,6 @@ int main(int argc, char** argv) {
   options.degraded_fallback = !strict;
   options.beam_width = beam_width;
   options.num_threads = threads;
-  options.use_cost_cache = !no_cost_cache;
   if (max_table_entries > 0)
     options.max_table_entries = static_cast<u64>(max_table_entries);
   if (max_combinations > 0)
@@ -590,7 +583,7 @@ int main(int argc, char** argv) {
                 hetero.uniform() ? "" : ", heterogeneous");
   if (pipelined && pipelined->stages > 1) {
     // A pipelined solve aggregates many per-stage DP runs; per-solve stats
-    // (K, M, thread/cache counters) are not meaningful for the composite.
+    // (K, M, thread count) are not meaningful for the composite.
     std::printf("\nlayers: %lld   stages: %lld x %lld devices   "
                 "search: %.1f ms\n",
                 static_cast<long long>(graph.num_nodes()),
@@ -605,19 +598,7 @@ int main(int argc, char** argv) {
                 r.elapsed_seconds * 1e3,
                 r.status == DpStatus::kDegraded ? "   [degraded: beam search]"
                                                 : "");
-    const u64 cache_total = r.cost_cache_hits + r.cost_cache_misses;
-    std::printf("threads: %lld   cost cache: %s",
-                static_cast<long long>(r.threads_used),
-                no_cost_cache ? "off" : "");
-    if (!no_cost_cache)
-      std::printf(
-          "%llu hits / %llu misses (%.0f%% hit rate)",
-          static_cast<unsigned long long>(r.cost_cache_hits),
-          static_cast<unsigned long long>(r.cost_cache_misses),
-          cache_total ? 100.0 * static_cast<double>(r.cost_cache_hits) /
-                            static_cast<double>(cache_total)
-                      : 0.0);
-    std::printf("\n");
+    std::printf("threads: %lld\n", static_cast<long long>(r.threads_used));
   }
   std::printf("comm model: %s", comm_model_kind_name(comm_kind));
   if (comm_kind == CommModelKind::kAuto)
