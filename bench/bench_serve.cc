@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "obs/rolling.h"
 #include "serve/json.h"
 #include "serve/server.h"
 
@@ -31,9 +32,8 @@ std::string solve_line(const std::string& zoo, i64 devices) {
 }
 
 double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+  return nearest_rank(v, q);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "core/strategy.h"
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/table.h"
 #include "util/types.h"
@@ -11,19 +13,10 @@ bool strategy_valid(const Graph& graph, const Strategy& phi,
                     const ConfigOptions& opts) {
   if (static_cast<i64>(phi.size()) != graph.num_nodes()) return false;
   for (const Node& node : graph.nodes()) {
-    const Config& c = phi[static_cast<size_t>(node.id)];
-    if (c.rank() != node.space.rank()) return false;
-    i64 degree = 1;
-    for (i64 d = 0; d < c.rank(); ++d) {
-      const i64 f = c[d];
-      if (f < 1) return false;
-      if (f > 1 && !node.space.dim(d).splittable) return false;
-      if (opts.powers_of_two_only && !is_pow2(f)) return false;
-      if (opts.cap_by_extent && f > node.space.dim(d).size) return false;
-      degree *= f;
-    }
-    if (degree > opts.max_devices) return false;
-    if (opts.require_full_use && degree != opts.max_devices) return false;
+    const std::vector<Config> space = enumerate_node_configs(node, opts);
+    if (std::find(space.begin(), space.end(),
+                  phi[static_cast<size_t>(node.id)]) == space.end())
+      return false;
   }
   return true;
 }

@@ -9,9 +9,10 @@
 
 namespace pase {
 
-/// True iff `phi` assigns every node a configuration that is valid under
-/// `opts` (rank matches the iteration space, power-of-two/extent/splittable
-/// rules respected, degree <= p).
+/// True iff `phi` assigns every node a configuration the solver could have
+/// chosen: one in enumerate_node_configs(node, opts), so the split-dim
+/// gates and the per-configuration filter count along with the rank,
+/// power-of-two, extent and degree rules.
 bool strategy_valid(const Graph& graph, const Strategy& phi,
                     const ConfigOptions& opts);
 

@@ -163,12 +163,16 @@ struct CostBreakdown {
 /// re-evaluation when one node's configuration changes (used by the MCMC
 /// search and by the DP's H function).
 ///
-/// Thread-safety: a CostModel is immutable after construction, and every
-/// member function is const and free of hidden state, so one instance may
-/// be shared by any number of threads — the parallel DP solver and
-/// multi-chain MCMC rely on this. Every query evaluates the closed forms
-/// directly: they cost tens of nanoseconds, less than a hash-map lookup of
-/// a memoized value would.
+/// Thread-safety: a CostModel is immutable after construction and every
+/// member function is const, so one instance may be shared by any number
+/// of threads — the parallel DP solver and multi-chain MCMC rely on this.
+/// Every query evaluates the closed forms directly: they cost tens of
+/// nanoseconds, less than a hash-map lookup of a memoized value would. The
+/// one piece of hidden state is behind CostParams::comm: a kAuto CommModel
+/// memoizes its per-shape algorithm choice under an internal mutex. Each
+/// choice is a pure function of the shape, so prices are bit-identical
+/// whichever thread or earlier request filled the memo (the serve daemon
+/// shares one CommModel across requests on purpose).
 class CostModel {
  public:
   CostModel(const Graph& graph, CostParams params)
@@ -205,12 +209,6 @@ class CostModel {
   /// `new_config`; touches only v and its incident edges.
   double delta_cost(const Strategy& phi, NodeId v,
                     const Config& new_config) const;
-
-  /// Seconds for one training step under `phi` on machine `m` according to
-  /// the analytical model: F(G, phi) / peak_flops.
-  double step_time_seconds(const Strategy& phi, const MachineSpec& m) const {
-    return total_cost(phi) / m.peak_flops;
-  }
 
  private:
   const Graph* graph_;

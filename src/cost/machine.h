@@ -5,7 +5,9 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/check.h"
@@ -227,5 +229,28 @@ struct MachineSpec {
     return *this;
   }
 };
+
+/// The named presets, spelled as pase_cli --machine and the serve
+/// protocol's "machine" field take them. This is the one name table; both
+/// front ends resolve through machine_preset.
+struct MachinePreset {
+  const char* name;
+  MachineSpec (*make)(i64 p);
+};
+inline constexpr MachinePreset kMachinePresets[] = {
+    {"1080ti", &MachineSpec::gtx1080ti},
+    {"2080ti", &MachineSpec::rtx2080ti},
+    {"mixed", [](i64 p) { return MachineSpec::mixed_cluster(p); }},
+    {"mixed_pod", &MachineSpec::mixed_pod},
+    {"multi_tier", &MachineSpec::multi_tier},
+};
+
+/// The preset called `name` at `p` devices; nullopt for an unknown name.
+inline std::optional<MachineSpec> machine_preset(std::string_view name,
+                                                 i64 p) {
+  for (const MachinePreset& preset : kMachinePresets)
+    if (name == preset.name) return preset.make(p);
+  return std::nullopt;
+}
 
 }  // namespace pase

@@ -5,6 +5,15 @@
 
 namespace pase {
 
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  if (q < 0.0) q = 0.0;
+  if (q > 1.0) q = 1.0;
+  const size_t idx = static_cast<size_t>(
+      q * static_cast<double>(sorted.size() - 1));
+  return sorted[idx];
+}
+
 RollingHistogram::RollingHistogram(i64 window)
     : window_(window < 1 ? 1 : window) {
   ring_.reserve(static_cast<size_t>(window_));
@@ -36,19 +45,6 @@ std::vector<double> RollingHistogram::sorted_window_locked() const {
   std::sort(sorted.begin(), sorted.end());
   return sorted;
 }
-
-namespace {
-
-double nearest_rank(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
-}  // namespace
 
 double RollingHistogram::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mu_);

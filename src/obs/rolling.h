@@ -5,12 +5,13 @@
 //
 // Model: a fixed-size ring of the raw samples. record() overwrites the
 // oldest sample once the window is full; quantile(q) sorts a snapshot of
-// the window and returns the nearest-rank element, the same estimator
-// pase_loadgen's report uses — so client-side and server-side percentiles
-// are comparable by construction. The state (and therefore every quantile)
-// is a pure function of the sample sequence: deterministic given request
-// order, independent of wall-clock (the samples themselves are of course
-// timing data — see DESIGN.md §11 for what that means for tests).
+// the window and returns the nearest-rank element. pase_loadgen's report
+// and bench_serve call the same nearest_rank() below, so client-side and
+// server-side percentiles are comparable by construction. The state (and
+// therefore every quantile) is a pure function of the sample sequence:
+// deterministic given request order, independent of wall-clock (the
+// samples themselves are of course timing data — see DESIGN.md §11 for
+// what that means for tests).
 //
 // Cost: record() is O(1); quantile()/snapshot() are O(N log N) for window
 // size N. Windows are small (hundreds), and snapshots are taken on the
@@ -26,6 +27,10 @@
 #include "util/types.h"
 
 namespace pase {
+
+/// Nearest-rank quantile of an ascending sample: sorted[floor(q*(n-1))],
+/// q clamped to [0, 1]. 0.0 for an empty sample.
+double nearest_rank(const std::vector<double>& sorted, double q);
 
 class RollingHistogram {
  public:

@@ -7,6 +7,7 @@
 
 #include "cost/cost_model.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace pase {
 
@@ -182,6 +183,7 @@ PipelinedSearchResult find_best_pipelined_strategy(
     const Graph& graph, const MachineSpec& m, const DpOptions& solver,
     const PipelineSearchOptions& popts) {
   PASE_CHECK_MSG(popts.stages >= 0, "stages must be >= 0 (0 = auto)");
+  const WallTimer timer;
   PipelinedSearchResult out;
 
   if (popts.stages == 1) {
@@ -244,6 +246,7 @@ PipelinedSearchResult find_best_pipelined_strategy(
   }
   const CostModel cost(graph, solver.cost_params);
   out.dp.best_cost = cost.total_cost(out.dp.strategy);
+  out.dp.elapsed_seconds = timer.elapsed_seconds();
   out.stage_details = std::move(pr.stages);
   return out;
 }

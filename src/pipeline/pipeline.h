@@ -82,7 +82,8 @@ struct PipelineSearchOptions {
 struct PipelinedSearchResult {
   /// Full-graph result. stages == 1: find_best_strategy's DpResult,
   /// bit-identical. stages > 1: strategy is the per-stage configs scattered
-  /// back to original node ids, best_cost its Eq. (1) evaluation.
+  /// back to original node ids, best_cost its Eq. (1) evaluation,
+  /// elapsed_seconds the whole search's wall time.
   DpResult dp;
   i64 stages = 1;
   i64 devices_per_stage = 0;

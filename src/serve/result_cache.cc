@@ -86,12 +86,8 @@ ResultCache::ResultCache(i64 max_entries)
 bool ResultCache::lookup(u64 key, Entry* out) {
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
-  }
+  if (it == index_.end()) return false;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
   *out = it->second->entry;
   return true;
 }
@@ -133,16 +129,6 @@ void ResultCache::corrupt(u64 key) {
 i64 ResultCache::size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<i64>(lru_.size());
-}
-
-u64 ResultCache::hits() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return hits_;
-}
-
-u64 ResultCache::misses() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return misses_;
 }
 
 }  // namespace pase::serve

@@ -100,8 +100,6 @@ class ResultCache {
   void corrupt(u64 key);
 
   i64 size() const;
-  u64 hits() const;
-  u64 misses() const;
 
  private:
   struct Slot {
@@ -113,8 +111,6 @@ class ResultCache {
   i64 max_entries_;
   std::list<Slot> lru_;  ///< front = most recent
   std::unordered_map<u64, std::list<Slot>::iterator> index_;
-  u64 hits_ = 0;
-  u64 misses_ = 0;
 };
 
 }  // namespace pase::serve

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <tuple>
+#include <utility>
 
 #include "comm/comm_model.h"
 #include "core/dp_solver.h"
@@ -35,33 +37,19 @@ namespace {
 /// these are cheap to rebuild by comparison).
 constexpr size_t kMaxWarmMemos = 64;
 
-std::optional<Graph> build_zoo_graph(const std::string& name) {
-  // Shared with pase_cli --zoo; see src/models/zoo.cc for the name table.
-  return models::zoo_graph(name);
-}
-
-std::optional<MachineSpec> build_machine(const std::string& name,
-                                         i64 devices) {
-  if (name == "1080ti") return MachineSpec::gtx1080ti(devices);
-  if (name == "2080ti") return MachineSpec::rtx2080ti(devices);
-  if (name == "mixed") return MachineSpec::mixed_cluster(devices);
-  if (name == "mixed_pod") return MachineSpec::mixed_pod(devices);
-  if (name == "multi_tier") return MachineSpec::multi_tier(devices);
-  return std::nullopt;
-}
-
-/// The request's machine: the inline machine_spec when present (already
-/// validated by parse_request; re-parsed here, it cannot fail), else the
-/// named preset. nullopt only for an unknown preset name.
-std::optional<MachineSpec> resolve_machine(const ServeRequest& req) {
-  if (!req.machine_spec_json.empty()) {
-    MachineSpec m;
-    std::string error;
-    if (!parse_machine_spec(req.machine_spec_json, &m, &error))
-      return std::nullopt;
-    return m;
+/// The response code and reason for a solver status. Cache hits and fresh
+/// solves both map through here.
+std::pair<ResponseCode, std::string> classify(DpStatus status,
+                                              const std::string& guard_reason) {
+  switch (status) {
+    case DpStatus::kOk: return {ResponseCode::kOk, ""};
+    case DpStatus::kDegraded: return {ResponseCode::kDegraded, guard_reason};
+    case DpStatus::kInfeasible:
+      return {ResponseCode::kInfeasible,
+              "no configuration satisfies the memory cap"};
+    case DpStatus::kOutOfMemory: return {ResponseCode::kError, guard_reason};
   }
-  return build_machine(req.machine, req.devices);
+  return {ResponseCode::kError, guard_reason};
 }
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
@@ -141,7 +129,8 @@ void ServeCore::watchdog_main() {
 }
 
 std::shared_ptr<const CommModel> ServeCore::comm_model_for(
-    const ServeRequest& request) {
+    const ServeRequest& request, const MachineSpec& machine,
+    CommModelKind kind) {
   u64 h = 0x9e3779b97f4a7c15ull;
   const std::string& machine_key = request.machine_spec_json.empty()
                                        ? request.machine
@@ -154,9 +143,7 @@ std::shared_ptr<const CommModel> ServeCore::comm_model_for(
   auto it = comm_models_.find(h);
   if (it != comm_models_.end()) return it->second;
   if (comm_models_.size() >= kMaxWarmMemos) comm_models_.clear();
-  const auto machine = resolve_machine(request);
-  const auto kind = parse_comm_model_kind(request.comm_model);
-  auto model = std::make_shared<const CommModel>(*machine, *kind);
+  auto model = std::make_shared<const CommModel>(machine, kind);
   comm_models_[h] = model;
   return model;
 }
@@ -389,6 +376,63 @@ std::string ServeCore::handle_line(const std::string& line,
   return resp.to_line();
 }
 
+bool ServeCore::resolve(const ServeRequest& req, SolvePlan* plan,
+                        std::string* error) {
+  // The graph: a zoo model by name, or inline text through the hardened
+  // parser (this is the service's untrusted-input boundary).
+  if (!req.zoo.empty()) {
+    auto built = models::zoo_graph(req.zoo);
+    if (!built) {
+      *error = "unknown zoo model '" + req.zoo + "'";
+      return false;
+    }
+    plan->graph = std::make_shared<const Graph>(std::move(*built));
+  } else {
+    ModelParseLimits limits;
+    limits.max_nodes = options_.max_model_nodes;
+    ModelParseResult model = parse_model(req.model_text, limits);
+    if (!model.ok) {
+      *error = "model: " + model.error;
+      return false;
+    }
+    plan->graph = std::make_shared<const Graph>(std::move(model.graph));
+  }
+
+  // The machine: the inline machine_spec when present (parse_request has
+  // already validated it), else the named preset.
+  if (!req.machine_spec_json.empty()) {
+    if (!parse_machine_spec(req.machine_spec_json, &plan->machine, error))
+      return false;
+  } else if (auto preset = machine_preset(req.machine, req.devices)) {
+    plan->machine = std::move(*preset);
+  } else {
+    *error = "unknown machine '" + req.machine + "'";
+    return false;
+  }
+  const auto comm_kind = parse_comm_model_kind(req.comm_model);
+  if (!comm_kind) {
+    *error = "unknown comm model '" + req.comm_model + "'";
+    return false;
+  }
+
+  DpOptions& options = plan->options;
+  options.config_options.max_devices = req.devices;
+  // req.split_dims is the canonical spelling parse_request stored, so it
+  // always parses here.
+  options.config_options.split_dims = *parse_split_dims(req.split_dims);
+  if (req.memory_gb > 0)
+    options.config_options.filter = memory_config_filter(req.memory_gb * 1e9);
+  options.cost_params = hetero_cost_params(plan->machine, *comm_kind);
+  if (options.cost_params.comm)
+    options.cost_params.comm =
+        comm_model_for(req, plan->machine, *comm_kind);  // warm memo
+  options.degraded_fallback = true;
+  options.beam_width = req.beam_width;
+  options.num_threads = options_.solver_threads;
+  options.metrics = &metrics_;
+  return true;
+}
+
 ServeResponse ServeCore::handle_solve(const ServeRequest& req,
                                       RequestScope& scope,
                                       SolveAudit& audit) {
@@ -407,48 +451,25 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
     deadline_ms = options_.max_deadline_ms;
   audit.deadline_ms = deadline_ms;
 
-  // Build the request graph (zoo by name, or inline text through the
-  // hardened parser — this is the service's untrusted-input boundary).
-  Graph graph;
+  // The request's plan, resolved once: verify-on-hit, the solve, its
+  // stored check_cost and the render below all read it.
+  SolvePlan plan;
   {
     TraceSession::Span build_span(scope.trace(), "build_graph");
-    if (!req.zoo.empty()) {
-      auto built = build_zoo_graph(req.zoo);
-      if (!built) {
-        resp.code = ResponseCode::kMalformed;
-        resp.reason = "unknown zoo model '" + req.zoo + "'";
-        return finish(resp);
-      }
-      graph = std::move(*built);
-    } else {
-      ModelParseLimits limits;
-      limits.max_nodes = options_.max_model_nodes;
-      ModelParseResult model = parse_model(req.model_text, limits);
-      if (!model.ok) {
-        resp.code = ResponseCode::kMalformed;
-        resp.reason = "model: " + model.error;
-        return finish(resp);
-      }
-      graph = std::move(model.graph);
-    }
-    const auto machine = resolve_machine(req);
-    if (!machine) {
+    std::string error;
+    if (!resolve(req, &plan, &error)) {
       resp.code = ResponseCode::kMalformed;
-      resp.reason = "unknown machine '" + req.machine + "'";
-      return finish(resp);
-    }
-    if (!parse_comm_model_kind(req.comm_model)) {
-      resp.code = ResponseCode::kMalformed;
-      resp.reason = "unknown comm model '" + req.comm_model + "'";
+      resp.reason = error;
       return finish(resp);
     }
     // The machine signature joins the three telemetry surfaces the same way
     // "seq" does: event-log field, serve.machine.* counter, and (below) the
     // result-cache key — heterogeneous requests stay distinguishable
     // everywhere (DESIGN.md §13).
-    audit.machine = machine_signature(*machine);
+    audit.machine = machine_signature(plan.machine);
     metrics_.add_counter("serve.machine." + audit.machine, 1);
   }
+  const Graph& graph = *plan.graph;
 
   // The stage-count/device divisibility check lives in parse_request; the
   // graph-size bound needs the built graph, so it lives here.
@@ -494,13 +515,7 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
     bool verified = true;
     if (!entry.strategy.empty()) {
       TraceSession::Span verify_span(scope.trace(), "cache_verify");
-      // hetero_cost_params, not for_machine: verify-on-hit must re-price
-      // with exactly the params run_solve used or every hetero hit would
-      // read as poisoned.
-      CostParams params = hetero_cost_params(
-          *resolve_machine(req), *parse_comm_model_kind(req.comm_model));
-      if (params.comm) params.comm = comm_model_for(req);
-      const CostModel cost(graph, params);
+      const CostModel cost(graph, plan.options.cost_params);
       verified = cost.total_cost(entry.strategy) == entry.check_cost;
     }
     if (verified) {
@@ -508,23 +523,11 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
       resp.cache = "hit";
       if (entry.trip_cause != DpResult::TripCause::kNone)
         audit.trip = trip_cause_name(entry.trip_cause);
-      switch (entry.status) {
-        case DpStatus::kOk: resp.code = ResponseCode::kOk; break;
-        case DpStatus::kDegraded: resp.code = ResponseCode::kDegraded; break;
-        case DpStatus::kInfeasible:
-          resp.code = ResponseCode::kInfeasible;
-          resp.reason = "no configuration satisfies the memory cap";
-          break;
-        case DpStatus::kOutOfMemory:
-          resp.code = ResponseCode::kError;
-          resp.reason = entry.guard_reason;
-          break;
-      }
+      std::tie(resp.code, resp.reason) =
+          classify(entry.status, entry.guard_reason);
       if (!entry.strategy.empty()) {
         resp.cost = entry.best_cost;
         resp.strategy = write_strategy(graph, entry.strategy);
-        if (entry.status == DpStatus::kDegraded)
-          resp.reason = entry.guard_reason;
       }
       return finish(resp);
     }
@@ -560,10 +563,9 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
       leader = true;
       flight = std::make_shared<Flight>();
       auto task = std::make_shared<std::packaged_task<SolveOutcome()>>(
-          [this, req, graph = std::move(graph), key, accepted, submitted,
-           deadline_ms, draw, trace = scope.trace(),
-           seq = scope.seq()]() mutable {
-            SolveOutcome out = run_solve(req, graph, key, accepted, submitted,
+          [this, plan, key, accepted, submitted, deadline_ms, draw,
+           trace = scope.trace(), seq = scope.seq()] {
+            SolveOutcome out = run_solve(plan, key, accepted, submitted,
                                          deadline_ms, draw, trace, seq);
             inflight_.fetch_sub(1, std::memory_order_relaxed);
             return out;
@@ -598,21 +600,17 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
   resp.reason = out.reason;
   resp.cache = poisoned ? "poisoned" : "miss";
   if (!out.strategy.empty()) {
+    // Joiners render the leader's strategy against their own graph: the
+    // key ignores node names, the rendered text does not.
     TraceSession::Span render_span(scope.trace(), "render");
     resp.cost = out.cost;
-    // The leader moved its graph into the solve; joiners still hold
-    // theirs. Rebuild for rendering when needed.
-    if (graph.num_nodes() == 0) {
-      if (!req.zoo.empty()) graph = *build_zoo_graph(req.zoo);
-      else graph = parse_model(req.model_text).graph;
-    }
     resp.strategy = write_strategy(graph, out.strategy);
   }
   return finish(resp);
 }
 
 ServeCore::SolveOutcome ServeCore::run_solve(
-    const ServeRequest& req, const Graph& graph, const ResultKey& key,
+    const SolvePlan& plan, const ResultKey& key,
     std::chrono::steady_clock::time_point accepted,
     std::chrono::steady_clock::time_point submitted, double deadline_ms,
     const InjectDraw& draw, TraceSession* trace, u64 seq) {
@@ -675,70 +673,41 @@ ServeCore::SolveOutcome ServeCore::run_solve(
     return out;
   }
 
-  DpOptions options;
-  options.config_options.max_devices = req.devices;
-  // req.split_dims is the canonical spelling parse_request stored, so it
-  // always parses here.
-  options.config_options.split_dims = *parse_split_dims(req.split_dims);
-  const MachineSpec machine = *resolve_machine(req);
-  const CommModelKind comm_kind = *parse_comm_model_kind(req.comm_model);
-  options.cost_params = hetero_cost_params(machine, comm_kind);
-  if (options.cost_params.comm)
-    options.cost_params.comm = comm_model_for(req);  // warm memo
-  if (req.memory_gb > 0)
-    options.config_options.filter = memory_config_filter(req.memory_gb * 1e9);
+  DpOptions options = plan.options;
   // Whatever the queue and injected sleeps consumed already counts against
   // the request's budget; a spent budget degrades immediately (the beam
   // fallback is bounded work), it does not error.
   const double remaining_s = (deadline_ms - ms_since(accepted)) / 1e3;
   options.deadline_seconds = remaining_s > 1e-9 ? remaining_s : 1e-9;
   options.cancel = &watch->cancel;
-  options.degraded_fallback = true;
-  options.beam_width = req.beam_width;
-  options.num_threads = options_.solver_threads;
-  options.metrics = &metrics_;
   // The solver's phase spans (ordering, table_fill, ...) nest inside this
   // lane's "solve" span in the request's own session.
   options.trace = trace;
+  // One stage is the plain solve, bit for bit. More cut the graph and
+  // re-parallelize each stage under the same options (deadline, cancel
+  // token and split-dim gates all thread through); the composed result
+  // carries a full-graph strategy and its Eq. (1) cost, so the
+  // cache/verify/render paths need no special casing.
+  PipelineSearchOptions popts;
+  popts.stages = key.pipeline_stages;
+  popts.microbatches = key.microbatches;
 
   const auto solve_start = std::chrono::steady_clock::now();
-  DpResult result;
-  if (req.pipeline_stages != 1) {
-    // The pipeline-stage dimension: the boundary DP cuts the graph and
-    // re-parallelizes each stage under the same options (deadline, cancel
-    // token and split-dim gates all thread through). The composed result
-    // carries a full-graph strategy and its Eq. (1) cost, so the
-    // cache/verify/render paths below need no special casing.
-    PipelineSearchOptions popts;
-    popts.stages = req.pipeline_stages;
-    popts.microbatches = req.microbatches;
-    result = find_best_pipelined_strategy(graph, machine, options, popts).dp;
-  } else {
-    result = find_best_strategy(graph, options);
-  }
+  const DpResult result =
+      find_best_pipelined_strategy(*plan.graph, plan.machine, options, popts)
+          .dp;
   out.solve_ms = ms_since(solve_start);
   if (result.trip_cause != DpResult::TripCause::kNone)
     out.trip = trip_cause_name(result.trip_cause);
   unregister();
 
-  switch (result.status) {
-    case DpStatus::kOk: out.code = ResponseCode::kOk; break;
-    case DpStatus::kDegraded:
-      out.code = ResponseCode::kDegraded;
-      out.reason = result.guard_reason;
-      break;
-    case DpStatus::kInfeasible:
-      out.code = ResponseCode::kInfeasible;
-      out.reason = "no configuration satisfies the memory cap";
-      break;
-    case DpStatus::kOutOfMemory:
-      // With the fallback enabled this is reachable only through
-      // cancellation (the fallback itself honors the token).
-      out.code = ResponseCode::kError;
-      out.reason = watch->killed.load(std::memory_order_relaxed)
-                       ? "solve killed by watchdog: " + result.guard_reason
-                       : result.guard_reason;
-      return out;
+  std::tie(out.code, out.reason) = classify(result.status, result.guard_reason);
+  if (result.status == DpStatus::kOutOfMemory) {
+    // With the fallback enabled this is reachable only through
+    // cancellation (the fallback itself honors the token).
+    if (watch->killed.load(std::memory_order_relaxed))
+      out.reason = "solve killed by watchdog: " + out.reason;
+    return out;
   }
   out.cost = result.best_cost;
   out.strategy = result.strategy;
@@ -752,9 +721,9 @@ ServeCore::SolveOutcome ServeCore::run_solve(
     entry.guard_reason = result.guard_reason;
     if (!entry.strategy.empty()) {
       // check_cost is the exact value verify-on-hit will recompute: the
-      // pure Eq. (1) re-evaluation, not the DP's table sum (they can
-      // differ in floating-point association).
-      const CostModel cost(graph, options.cost_params);
+      // pure Eq. (1) re-evaluation under the plan's params, not the DP's
+      // table sum (they can differ in floating-point association).
+      const CostModel cost(*plan.graph, plan.options.cost_params);
       entry.check_cost = cost.total_cost(entry.strategy);
     }
     const u64 khash = key.hash();

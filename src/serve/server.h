@@ -22,10 +22,15 @@
 //    watchdog thread additionally cancels solves that overrun budget +
 //    grace (e.g. an injected worker stall) via the solver's cancellation
 //    token; a killed solve answers `error`.
+//  * One plan per request: each solve request is resolved once — graph,
+//    machine, solver options with their CostParams — and verify-on-hit,
+//    the solve, the stored check_cost and the render all read that plan,
+//    so they cannot disagree about how the request is priced.
 //  * Warm state: a (graph signature, machine, p, ...) -> result LRU and a
-//    CommModel memo survive across requests. Cached results are verified
-//    on every hit (see result_cache.h) and only timing-independent results
-//    are stored, so a cache hit is byte-identical to a fresh solve.
+//    CommModel memo, whose kAuto choices every plan's CostParams share,
+//    survive across requests. Cached results are verified on every hit
+//    (see result_cache.h) and only timing-independent results are stored,
+//    so a cache hit is byte-identical to a fresh solve.
 //
 // Observability invariants (DESIGN.md §11):
 //  * Every request gets exactly one event-log line (obs/event_log.h),
@@ -57,6 +62,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "comm/comm_model.h"
+#include "core/dp_solver.h"
+#include "cost/machine.h"
+#include "graph/graph.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/rolling.h"
@@ -65,10 +74,6 @@
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
 #include "util/thread_pool.h"
-
-namespace pase {
-class CommModel;
-}  // namespace pase
 
 namespace pase::serve {
 
@@ -223,15 +228,30 @@ class ServeCore {
     std::string machine;
   };
 
+  /// One solve request, resolved once. The graph is shared so the leader
+  /// can hand it to its solve and still render with it; run_solve adds the
+  /// deadline, cancel token and trace session to `options`.
+  struct SolvePlan {
+    std::shared_ptr<const Graph> graph;
+    MachineSpec machine;
+    DpOptions options;
+  };
+
   ServeResponse handle_solve(const ServeRequest& request, RequestScope& scope,
                              SolveAudit& audit);
-  SolveOutcome run_solve(const ServeRequest& request, const Graph& graph,
-                         const ResultKey& key,
+  /// Builds the graph, resolves the machine and comm model, and fills the
+  /// solver options. False, with the `malformed` reason, when the model,
+  /// machine or comm model does not resolve.
+  bool resolve(const ServeRequest& request, SolvePlan* plan,
+               std::string* error);
+  SolveOutcome run_solve(const SolvePlan& plan, const ResultKey& key,
                          std::chrono::steady_clock::time_point accepted,
                          std::chrono::steady_clock::time_point submitted,
                          double deadline_ms, const InjectDraw& draw,
                          TraceSession* trace, u64 seq);
-  std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request);
+  std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request,
+                                                  const MachineSpec& machine,
+                                                  CommModelKind kind);
   void watchdog_main();
   /// Renders + appends the one event-log line for this request.
   void log_event(const RequestScope& scope, const ServeRequest* request,

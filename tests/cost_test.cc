@@ -243,6 +243,20 @@ TEST(Machine, PresetsAreSane) {
   EXPECT_LT(b.intra_bw(), a.intra_bw());
 }
 
+TEST(Machine, PresetNamesResolveToTheirBuilders) {
+  EXPECT_EQ(machine_preset("1080ti", 8)->name, MachineSpec::gtx1080ti(8).name);
+  EXPECT_EQ(machine_preset("mixed", 8)->device_flops,
+            MachineSpec::mixed_cluster(8).device_flops);
+  const MachineSpec pod = *machine_preset("mixed_pod", 16);
+  EXPECT_EQ(pod.name, "MixedPod");
+  EXPECT_EQ(pod.num_devices, 16);
+  EXPECT_EQ(pod.link_tiers.size(), MachineSpec::mixed_pod(16).link_tiers.size());
+  for (const MachinePreset& preset : kMachinePresets)
+    EXPECT_TRUE(machine_preset(preset.name, 4).has_value()) << preset.name;
+  EXPECT_FALSE(machine_preset("abacus", 8).has_value());
+  EXPECT_FALSE(machine_preset("1080Ti", 8).has_value());  // names, not labels
+}
+
 TEST(Machine, CostParamsInheritMachineKnobs) {
   const MachineSpec m = MachineSpec::rtx2080ti(8);
   const CostParams p = CostParams::for_machine(m);

@@ -406,6 +406,29 @@ TEST(ServeCore, HeterogeneousSpecSolvesAndLogsHetSignature) {
   EXPECT_EQ(core.metrics().counter("serve.machine.MixedPod/p8/het"), 1u);
 }
 
+TEST(ServeCore, AutoCommHeteroHitIsVerifiedAndByteIdentical) {
+  // mixed_pod under comm_model auto attaches both the hetero pricing
+  // tables and a CommModel. Verify-on-hit must price with exactly the
+  // params the solve stored check_cost under; any drift reads every such
+  // hit as poisoned and re-solves it.
+  ServeCore core(quiet_options());
+  const std::string line = solve_line(
+      "mlp", 8, ",\"comm_model\":\"auto\",\"machine\":\"mixed_pod\"");
+  auto miss = parse_json(core.handle_line(line));
+  auto hit = parse_json(core.handle_line(line));
+  ASSERT_TRUE(miss.has_value() && hit.has_value());
+  EXPECT_EQ(miss->get_string("code"), "ok");
+  EXPECT_EQ(miss->get_string("cache"), "miss");
+  EXPECT_EQ(hit->get_string("cache"), "hit");
+  EXPECT_EQ(core.metrics().counter("serve.cache.poison_detected"), 0u);
+  // Byte-identical apart from the per-request fields.
+  for (const char* volatile_field : {"cache", "elapsed_ms", "seq"}) {
+    miss->object.erase(volatile_field);
+    hit->object.erase(volatile_field);
+  }
+  EXPECT_EQ(write_json(*miss), write_json(*hit));
+}
+
 TEST(ServeCore, MalformedModelAndUnknownNamesAreClassified) {
   ServeOptions options = quiet_options();
   options.max_model_nodes = 2;

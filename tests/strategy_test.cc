@@ -76,6 +76,45 @@ TEST(StrategyValid, FullUseRequiresExactDegree) {
   EXPECT_TRUE(strategy_valid(g, phi, full));
 }
 
+TEST(StrategyValid, AcceptsExactlyTheEnumeratedSpace) {
+  // Validity is membership in what the solver enumerates, so the split-dim
+  // gates count. First, every configuration of the widened space must be
+  // accepted, tried one node at a time with the other nodes serial.
+  const Graph g = *models::zoo_graph("resnet_large_p");
+  ConfigOptions all = copts(4);
+  all.split_dims = *parse_split_dims("all");
+  Strategy serial;
+  for (const Node& n : g.nodes()) serial.push_back(Config::ones(n.space.rank()));
+  i64 widened = 0;
+  for (const Node& n : g.nodes()) {
+    for (const Config& c : enumerate_node_configs(n, all)) {
+      Strategy phi = serial;
+      phi[static_cast<size_t>(n.id)] = c;
+      EXPECT_TRUE(strategy_valid(g, phi, all)) << n.name << c.to_string();
+      for (i64 d = 0; d < c.rank(); ++d)
+        if (c[d] > 1 && !n.space.dim(d).splittable) {
+          ++widened;
+          break;
+        }
+    }
+  }
+  EXPECT_GT(widened, 0);  // the gates really opened builder-locked dims
+
+  // Second, a batch split is rejected once the batch gate is closed, and
+  // a configuration the filter refuses is rejected too.
+  const Graph mlp = models::mlp(64, {64, 64});
+  const Strategy dp = data_parallel_strategy(mlp, 8);
+  EXPECT_TRUE(strategy_valid(mlp, dp, copts(8)));
+  ConfigOptions no_batch = copts(8);
+  no_batch.split_dims = *parse_split_dims("param");
+  EXPECT_FALSE(strategy_valid(mlp, dp, no_batch));
+  ConfigOptions serial_only = copts(8);
+  serial_only.filter = [](const Node&, const Config& c) {
+    return c.degree() == 1;
+  };
+  EXPECT_FALSE(strategy_valid(mlp, dp, serial_only));
+}
+
 TEST(StrategyToString, ContainsAllNodes) {
   const Graph g = models::rnnlm();
   const std::string s =

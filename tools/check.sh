@@ -89,6 +89,12 @@ expect 2 "machine spec combined with --machine" -- \
 expect 2 "machine spec vs --devices mismatch" -- \
   "$ROOT/tests/corpus/valid_tiny.pase" --devices 8 \
   --machine-spec "$ROOT/tests/corpus/machine_valid.json"
+# Named presets come from the one table the daemon also reads
+# (kMachinePresets, src/cost/machine.h).
+expect 0 "named heterogeneous preset" -- \
+  --zoo mlp --machine mixed_pod --devices 8
+expect 2 "unknown machine preset" -- \
+  --zoo mlp --machine abacus --devices 8
 
 note "CLI usage errors"
 expect 2 "no arguments" --

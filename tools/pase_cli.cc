@@ -1,7 +1,7 @@
 // pase_cli — strategy search for models described in the pase-model text
 // format (see src/io/model_parser.h), no recompilation needed.
 //
-//   pase_cli <model-file> [--devices N] [--machine 1080ti|2080ti|mixed]
+//   pase_cli <model-file> [--devices N] [--machine NAME]
 //            [--machine-spec FILE]
 //            [--memory-gb G] [--baseline] [--export FILE] [--trace FILE]
 //            [--deadline SECONDS] [--strict] [--beam-width N]
@@ -21,6 +21,9 @@
 //
 // Model source: --zoo NAME solves a built-in zoo model (e.g.
 // transformer_stack_1000) instead of a model file.
+//
+// Machines: --machine NAME names a preset of kMachinePresets
+// (src/cost/machine.h), as the serve "machine" field does; --help lists them.
 //
 // Search engine options: --threads N fans the DP's per-vertex cost
 // evaluations across N worker threads (0 = hardware concurrency, the
@@ -66,15 +69,16 @@
 //   2  usage error (unknown flag, missing or malformed flag value)
 //   3  infeasible (no configuration satisfies the memory budget)
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string>
 
 #include "core/dp_solver.h"
+#include "cost/machine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "core/strategy.h"
@@ -99,10 +103,18 @@ constexpr int kExitRuntime = 1;
 constexpr int kExitUsage = 2;
 constexpr int kExitInfeasible = 3;
 
+/// The preset names, '|'-separated, for --help and the --machine error.
+std::string machine_names() {
+  std::string names;
+  for (const MachinePreset& preset : kMachinePresets)
+    names += (names.empty() ? "" : "|") + std::string(preset.name);
+  return names;
+}
+
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
       out,
-      "usage: %s <model-file> [--devices N] [--machine 1080ti|2080ti|mixed]\n"
+      "usage: %s <model-file> [--devices N] [--machine %s]\n"
       "          [--machine-spec FILE]\n"
       "          [--memory-gb G] [--baseline] [--export FILE] [--trace FILE]\n"
       "          [--trace-out FILE] [--metrics-out FILE]\n"
@@ -163,7 +175,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "\n            jitter=SIGMA, dropout=RATE:INTERVAL:RESTART[:WRITE]\n"
       "exit codes: 0 ok (incl. degraded strategy)  1 runtime error\n"
       "            2 usage error                   3 infeasible\n",
-      argv0);
+      argv0, machine_names().c_str());
 }
 
 int usage(const char* argv0) {
@@ -430,17 +442,13 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     devices = machine.num_devices;
-  } else if (machine_name == "1080ti") {
-    machine = MachineSpec::gtx1080ti(devices);
-  } else if (machine_name == "2080ti") {
-    machine = MachineSpec::rtx2080ti(devices);
-  } else if (machine_name == "mixed") {
-    machine = MachineSpec::mixed_cluster(devices);
+  } else if (auto preset = machine_preset(machine_name, devices)) {
+    machine = std::move(*preset);
   } else {
     std::fprintf(stderr,
-                 "error: invalid value '%s' for --machine (expected 1080ti, "
-                 "2080ti or mixed)\n",
-                 machine_name.c_str());
+                 "error: invalid value '%s' for --machine (expected one of "
+                 "%s)\n",
+                 machine_name.c_str(), machine_names().c_str());
     return kExitUsage;
   }
 
@@ -526,27 +534,16 @@ int main(int argc, char** argv) {
     options.metrics = &*metrics_registry;
   }
 
-  // --pipeline-stages != 1 routes through the pipeline-dimension search:
-  // the boundary DP cuts the graph into stages and re-parallelizes each
-  // stage's subgraph under the same solver options (split-dim gates
-  // included) on its share of the devices. stages == 1 is the plain solve,
-  // bit for bit.
-  std::optional<PipelinedSearchResult> pipelined;
-  DpResult r;
-  if (pipeline_stages != 1) {
-    PipelineSearchOptions popts;
-    popts.stages = pipeline_stages;
-    popts.microbatches = pipeline_microbatches;
-    const auto t0 = std::chrono::steady_clock::now();
-    pipelined =
-        find_best_pipelined_strategy(graph, search_machine, options, popts);
-    r = pipelined->dp;
-    r.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  } else {
-    r = find_best_strategy(graph, options);
-  }
+  // The pipeline-dimension search: more than one stage cuts the graph and
+  // re-parallelizes each stage's subgraph under the same solver options
+  // (split-dim gates included) on its share of the devices. One stage (the
+  // default) is the plain solve, bit for bit.
+  PipelineSearchOptions popts;
+  popts.stages = pipeline_stages;
+  popts.microbatches = pipeline_microbatches;
+  const PipelinedSearchResult pipelined =
+      find_best_pipelined_strategy(graph, search_machine, options, popts);
+  const DpResult& r = pipelined.dp;
   if (r.status == DpStatus::kOutOfMemory) {
     std::fprintf(stderr,
                  "error: solver guard tripped (%s); rerun without --strict "
@@ -581,14 +578,14 @@ int main(int argc, char** argv) {
     std::printf("machine spec: %s (%s, %lld devices%s)\n", machine_spec_path,
                 machine.name.c_str(), static_cast<long long>(devices),
                 hetero.uniform() ? "" : ", heterogeneous");
-  if (pipelined && pipelined->stages > 1) {
+  if (pipelined.stages > 1) {
     // A pipelined solve aggregates many per-stage DP runs; per-solve stats
     // (K, M, thread count) are not meaningful for the composite.
     std::printf("\nlayers: %lld   stages: %lld x %lld devices   "
                 "search: %.1f ms\n",
                 static_cast<long long>(graph.num_nodes()),
-                static_cast<long long>(pipelined->stages),
-                static_cast<long long>(pipelined->devices_per_stage),
+                static_cast<long long>(pipelined.stages),
+                static_cast<long long>(pipelined.devices_per_stage),
                 r.elapsed_seconds * 1e3);
   } else {
     std::printf("\nlayers: %lld   K: %lld   M: %lld   search: %.1f ms%s\n",
@@ -629,14 +626,14 @@ int main(int argc, char** argv) {
                     : "");
   }
   if (pipeline_given) {
-    if (pipelined && pipelined->stages > 1)
+    if (pipelined.stages > 1)
       std::printf("pipeline: bottleneck %.2f ms, step %.2f ms (%lld "
                   "micro-batches), no-pipeline %.2f ms, gain %.2fx\n",
-                  pipelined->bottleneck_seconds * 1e3,
-                  pipelined->step_seconds * 1e3,
+                  pipelined.bottleneck_seconds * 1e3,
+                  pipelined.step_seconds * 1e3,
                   static_cast<long long>(pipeline_microbatches),
-                  pipelined->no_pipeline_seconds * 1e3,
-                  pipelined->no_pipeline_seconds / pipelined->step_seconds);
+                  pipelined.no_pipeline_seconds * 1e3,
+                  pipelined.no_pipeline_seconds / pipelined.step_seconds);
     else
       std::printf("pipeline: 1 stage (no pipelining)\n");
   }

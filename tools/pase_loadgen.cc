@@ -48,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/rolling.h"
 #include "serve/json.h"
 #include "util/hash.h"
 #include "util/types.h"
@@ -542,10 +543,7 @@ int main(int argc, char** argv) {
   for (const auto& kv : shared.code_counts) classified += kv.second;
   std::sort(shared.latencies_ms.begin(), shared.latencies_ms.end());
   auto percentile = [&](double q) {
-    if (shared.latencies_ms.empty()) return 0.0;
-    const size_t idx = static_cast<size_t>(
-        q * static_cast<double>(shared.latencies_ms.size() - 1));
-    return shared.latencies_ms[idx];
+    return nearest_rank(shared.latencies_ms, q);
   };
   const double hits =
       static_cast<double>(shared.cache_counts.count("hit")
