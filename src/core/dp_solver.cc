@@ -64,105 +64,6 @@ struct PositionState {
   }
 };
 
-/// Graceful-degradation fallback: a deterministic beam search over the same
-/// vertex ordering. A beam state is a configuration choice for every
-/// sequenced-so-far vertex; placing v^(i) adds its node cost plus the cost
-/// of every incident edge whose other endpoint is already sequenced (each
-/// edge is counted exactly once, when its later endpoint is placed, so a
-/// completed state's accumulated cost is exactly Eq. (1)). Work is bounded
-/// by beam_width * K per vertex — no substrategy tables, no blow-up.
-///
-/// Honors an external cancellation token (`cancel`, may be null): a serving
-/// watchdog that kills a runaway solve must not then wait for the fallback.
-/// Returns false (result.strategy untouched) when cancelled before
-/// completing; a deadline expiry alone never aborts the fallback, since the
-/// beam is the bounded answer *to* the expiry.
-bool beam_search_fallback(const Graph& graph, const Ordering& order,
-                          const ConfigCache& configs, const CostModel& cost,
-                          i64 beam_width, const std::atomic<bool>* cancel,
-                          DpResult& result) {
-  PASE_CHECK(beam_width >= 1);
-  const i64 n = graph.num_nodes();
-
-  struct State {
-    double cost = 0.0;
-    std::vector<u32> cfg;  ///< per node id; meaningful for placed nodes
-  };
-  std::vector<State> beam(1);
-  beam[0].cfg.assign(static_cast<size_t>(n), 0);
-
-  struct Candidate {
-    double cost;
-    u32 state;
-    u32 ci;
-  };
-  std::vector<Candidate> candidates;
-
-  for (i64 i = 0; i < n; ++i) {
-    if (cancel && cancel->load(std::memory_order_relaxed)) return false;
-    const NodeId vi = order.seq[static_cast<size_t>(i)];
-    const auto& vi_configs = configs.at(vi);
-
-    // Incident edges whose other endpoint is already placed.
-    struct EarlierEdge {
-      const Edge* edge;
-      NodeId other;
-    };
-    std::vector<EarlierEdge> earlier;
-    for (EdgeId eid : graph.incident_edges(vi)) {
-      const Edge& e = graph.edge(eid);
-      const NodeId w = e.src == vi ? e.dst : e.src;
-      if (order.pos[static_cast<size_t>(w)] < i) earlier.push_back({&e, w});
-    }
-
-    candidates.clear();
-    for (size_t s = 0; s < beam.size(); ++s) {
-      for (size_t ci = 0; ci < vi_configs.size(); ++ci) {
-        double c = beam[s].cost + cost.node_cost(vi, vi_configs[ci]);
-        for (const EarlierEdge& ee : earlier) {
-          const Config& other_cfg =
-              configs.at(ee.other)[beam[s].cfg[static_cast<size_t>(ee.other)]];
-          const Config& src =
-              ee.edge->src == vi ? vi_configs[ci] : other_cfg;
-          const Config& dst =
-              ee.edge->src == vi ? other_cfg : vi_configs[ci];
-          c += cost.edge_cost(*ee.edge, src, dst);
-        }
-        candidates.push_back(
-            {c, static_cast<u32>(s), static_cast<u32>(ci)});
-      }
-    }
-
-    const size_t keep =
-        std::min(static_cast<size_t>(beam_width), candidates.size());
-    // Deterministic: ties broken by parent-state rank, then config order.
-    std::partial_sort(candidates.begin(), candidates.begin() + keep,
-                      candidates.end(),
-                      [](const Candidate& a, const Candidate& b) {
-                        if (a.cost != b.cost) return a.cost < b.cost;
-                        if (a.state != b.state) return a.state < b.state;
-                        return a.ci < b.ci;
-                      });
-    std::vector<State> next(keep);
-    for (size_t k = 0; k < keep; ++k) {
-      next[k].cost = candidates[k].cost;
-      next[k].cfg = beam[candidates[k].state].cfg;
-      next[k].cfg[static_cast<size_t>(vi)] = candidates[k].ci;
-    }
-    beam = std::move(next);
-  }
-
-  const State& best = beam.front();  // sorted: front is the minimum
-  result.strategy.assign(static_cast<size_t>(n), Config{});
-  for (NodeId v = 0; v < n; ++v)
-    result.strategy[static_cast<size_t>(v)] =
-        configs.at(v)[best.cfg[static_cast<size_t>(v)]];
-  // Report the authoritative Eq. (1) evaluation of the extracted strategy
-  // (equal to best.cost up to floating-point association).
-  result.best_cost = cost.total_cost(result.strategy);
-  return true;
-}
-
 /// Back-substitution from one component root: assigns v^(i)'s best
 /// configuration under the current dependent-set choices, then descends
 /// into the connected subsets S(i) in order (a pre-order walk). The walk
@@ -201,18 +102,58 @@ struct VertexPrices {
   std::vector<LaterEdge> later;
 };
 
-/// Prices vertices for the DP, once per structural class. Same-class
-/// vertices (LayerClasses) share their t_l vector; a later edge shares its
-/// matrix with every edge of the same (edge class, orientation, node class
-/// of v^(i), node class of w). Equal classes imply equal costs for equal
-/// configurations, and the actual configuration LISTS are compared before
-/// an entry is reused (a ConfigOptions filter could in principle admit
-/// different lists for same-class nodes; the entry is then re-priced and
-/// replaced), so a shared price is bit-identical to a fresh one. The DP
-/// prices on the calling thread before the parallel fan-out, so the hit
-/// counts are identical at any thread count.
+/// Prices vertices for the DP and its beam fallback, once per structural
+/// class. Same-class vertices (LayerClasses) share their t_l vector; an edge
+/// shares its prices with every edge of the same (edge class, orientation,
+/// node class of v^(i), node class of w). Equal classes imply equal costs
+/// for equal configurations, and the actual configuration LISTS are
+/// compared before an entry is reused (a ConfigOptions filter could in
+/// principle admit different lists for same-class nodes; the entry is then
+/// re-priced and replaced), so a shared price is bit-identical to a fresh
+/// one. Each node's list is compared once, against its class's distinct
+/// lists, so a reuse check is an id comparison. The DP prices on the
+/// calling thread before the parallel fan-out, so the hit counts are
+/// identical at any thread count.
 class VertexPricer {
  public:
+  /// r * t_x of one edge between v^(i) and an EARLIER neighbour w, as the
+  /// beam fallback reads it: one row [ci] over C(v^(i)) per configuration
+  /// of w, each priced the first time it is asked for.
+  class EdgeRows {
+   public:
+    EdgeRows(const CostModel& cost, const Edge& edge, bool vi_is_src,
+             const std::vector<Config>& vi_configs,
+             const std::vector<Config>& w_configs)
+        : cost_(cost),
+          edge_(edge),
+          vi_is_src_(vi_is_src),
+          vi_configs_(vi_configs),
+          w_configs_(w_configs),
+          rows_(w_configs.size()) {}
+
+    /// The row for w in configuration cw. It stays valid while the
+    /// EdgeRows lives: pricing another row moves no row already returned.
+    const double* row(u32 cw) {
+      std::vector<double>& r = rows_[cw];
+      if (r.empty()) {
+        r.resize(vi_configs_.size());
+        for (size_t ci = 0; ci < r.size(); ++ci)
+          r[ci] = vi_is_src_
+                      ? cost_.edge_cost(edge_, vi_configs_[ci], w_configs_[cw])
+                      : cost_.edge_cost(edge_, w_configs_[cw], vi_configs_[ci]);
+      }
+      return r.data();
+    }
+
+   private:
+    const CostModel& cost_;
+    const Edge& edge_;
+    const bool vi_is_src_;
+    const std::vector<Config>& vi_configs_;
+    const std::vector<Config>& w_configs_;
+    std::vector<std::vector<double>> rows_;  ///< by cw; empty = not priced
+  };
+
   VertexPricer(const Graph& graph, const Ordering& order,
                const ConfigCache& configs, const CostModel& cost)
       : graph_(graph),
@@ -220,34 +161,44 @@ class VertexPricer {
         configs_(configs),
         cost_(cost),
         classes_(graph),
-        node_entries_(static_cast<size_t>(classes_.num_node_classes())) {}
+        node_entries_(static_cast<size_t>(classes_.num_node_classes())),
+        list_ids_(static_cast<size_t>(graph.num_nodes()), kInvalidNode),
+        class_lists_(static_cast<size_t>(classes_.num_node_classes())) {}
 
-  /// Fills `out` for the vertex at sequence position i. `poll` is called
-  /// every 256 cost evaluations and returns kNone to continue; any other
-  /// cause stops the pricing and is returned.
+  /// t_l(v, C) for every C in C(v), into `out`. `poll` is called every 256
+  /// cost evaluations and returns kNone to continue; any other cause stops
+  /// the pricing and is returned.
+  template <class Poll>
+  DpResult::TripCause layer(NodeId v,
+                            std::shared_ptr<const std::vector<double>>& out,
+                            Poll&& poll) {
+    const auto& v_configs = configs_.at(v);
+    ClassPrices& entry = node_entries_[classes_.node_class(v)];
+    if (entry.rep_vi != kInvalidNode && list_id(entry.rep_vi) == list_id(v)) {
+      ++node_hits_;
+    } else {
+      auto layer = std::make_shared<std::vector<double>>(v_configs.size());
+      for (size_t c = 0; c < v_configs.size(); ++c) {
+        if (const auto cause = tick(poll); cause != DpResult::TripCause::kNone)
+          return cause;
+        (*layer)[c] = cost_.node_cost(v, v_configs[c]);
+      }
+      entry = {v, kInvalidNode, std::move(layer)};
+    }
+    out = entry.prices;
+    return DpResult::TripCause::kNone;
+  }
+
+  /// Fills `out` for the vertex at sequence position i; `poll` as in
+  /// layer().
   template <class Poll>
   DpResult::TripCause price(i64 i, VertexPrices& out, Poll&& poll) {
     const NodeId vi = order_.seq[static_cast<size_t>(i)];
     const auto& vi_configs = configs_.at(vi);
     const size_t kc = vi_configs.size();
-    u64 tick = 0;
-    auto poll_due = [&] { return (++tick & 255u) == 0; };
-
-    ClassPrices& node_entry = node_entries_[classes_.node_class(vi)];
-    if (node_entry.rep_vi != kInvalidNode &&
-        configs_.at(node_entry.rep_vi) == vi_configs) {
-      ++node_hits_;
-    } else {
-      auto layer = std::make_shared<std::vector<double>>(kc);
-      for (size_t c = 0; c < kc; ++c) {
-        if (poll_due())
-          if (const auto cause = poll(); cause != DpResult::TripCause::kNone)
-            return cause;
-        (*layer)[c] = cost_.node_cost(vi, vi_configs[c]);
-      }
-      node_entry = {vi, kInvalidNode, std::move(layer)};
-    }
-    out.layer = node_entry.prices;
+    if (const auto cause = layer(vi, out.layer, poll);
+        cause != DpResult::TripCause::kNone)
+      return cause;
 
     out.later.clear();
     for (EdgeId eid : graph_.incident_edges(vi)) {
@@ -256,22 +207,17 @@ class VertexPricer {
       if (order_.pos[static_cast<size_t>(w)] <= i) continue;
       const auto& w_configs = configs_.at(w);
       const bool vi_is_src = e.src == vi;
-      ClassPrices& edge_entry =
-          edge_entries_[{classes_.edge_class(eid), vi_is_src,
-                         classes_.node_class(vi), classes_.node_class(w)}];
-      if (edge_entry.rep_vi != kInvalidNode &&
-          configs_.at(edge_entry.rep_vi) == vi_configs &&
-          configs_.at(edge_entry.rep_w) == w_configs) {
+      ClassPrices& edge_entry = edge_entries_[edge_key(eid, vi, w)];
+      if (serves(edge_entry.rep_vi, edge_entry.rep_w, vi, w)) {
         ++edge_hits_;
       } else {
         auto matrix = std::make_shared<std::vector<double>>(kc *
                                                             w_configs.size());
         for (size_t cw = 0; cw < w_configs.size(); ++cw)
           for (size_t ci = 0; ci < kc; ++ci) {
-            if (poll_due())
-              if (const auto cause = poll();
-                  cause != DpResult::TripCause::kNone)
-                return cause;
+            if (const auto cause = tick(poll);
+                cause != DpResult::TripCause::kNone)
+              return cause;
             const Config& src = vi_is_src ? vi_configs[ci] : w_configs[cw];
             const Config& dst = vi_is_src ? w_configs[cw] : vi_configs[ci];
             (*matrix)[cw * kc + ci] = cost_.edge_cost(e, src, dst);
@@ -281,6 +227,23 @@ class VertexPricer {
       out.later.push_back({w, edge_entry.prices});
     }
     return DpResult::TripCause::kNone;
+  }
+
+  /// The rows of edge `eid` from v^(i) = `vi` to its earlier endpoint,
+  /// shared by every edge of the same key whose endpoints have the same
+  /// configuration lists.
+  std::shared_ptr<EdgeRows> earlier_edge_rows(EdgeId eid, NodeId vi) {
+    const Edge& e = graph_.edge(eid);
+    const NodeId w = e.src == vi ? e.dst : e.src;
+    RowEntry& entry = row_entries_[edge_key(eid, vi, w)];
+    if (serves(entry.rep_vi, entry.rep_w, vi, w)) {
+      ++edge_hits_;
+    } else {
+      entry = {vi, w,
+               std::make_shared<EdgeRows>(cost_, e, e.src == vi,
+                                          configs_.at(vi), configs_.at(w))};
+    }
+    return entry.rows;
   }
 
   u64 node_hits() const { return node_hits_; }
@@ -293,6 +256,50 @@ class VertexPricer {
     NodeId rep_w = kInvalidNode;
     std::shared_ptr<const std::vector<double>> prices;
   };
+  struct RowEntry {
+    NodeId rep_vi = kInvalidNode;
+    NodeId rep_w = kInvalidNode;
+    std::shared_ptr<EdgeRows> rows;
+  };
+  using EdgeKey = std::tuple<u32, bool, u32, u32>;
+
+  EdgeKey edge_key(EdgeId eid, NodeId vi, NodeId w) const {
+    return {classes_.edge_class(eid), graph_.edge(eid).src == vi,
+            classes_.node_class(vi), classes_.node_class(w)};
+  }
+
+  /// Whether an edge entry priced for (rep_vi, rep_w) serves (vi, w): the
+  /// key matched the classes, this checks the configuration lists.
+  bool serves(NodeId rep_vi, NodeId rep_w, NodeId vi, NodeId w) {
+    return rep_vi != kInvalidNode && list_id(rep_vi) == list_id(vi) &&
+           list_id(rep_w) == list_id(w);
+  }
+
+  /// The first node of v's class, in the order asked, whose configuration
+  /// list equals v's: two same-class nodes have equal lists iff their ids
+  /// match.
+  NodeId list_id(NodeId v) {
+    NodeId& id = list_ids_[static_cast<size_t>(v)];
+    if (id == kInvalidNode) {
+      std::vector<NodeId>& lists = class_lists_[classes_.node_class(v)];
+      for (NodeId u : lists)
+        if (configs_.at(u) == configs_.at(v)) {
+          id = u;
+          break;
+        }
+      if (id == kInvalidNode) {
+        id = v;
+        lists.push_back(v);
+      }
+    }
+    return id;
+  }
+
+  /// Calls `poll` on every 256th cost evaluation.
+  template <class Poll>
+  DpResult::TripCause tick(Poll& poll) {
+    return (++ticks_ & 255u) == 0 ? poll() : DpResult::TripCause::kNone;
+  }
 
   const Graph& graph_;
   const Ordering& order_;
@@ -300,10 +307,210 @@ class VertexPricer {
   const CostModel& cost_;
   const LayerClasses classes_;
   std::vector<ClassPrices> node_entries_;  ///< by node class
-  std::map<std::tuple<u32, bool, u32, u32>, ClassPrices> edge_entries_;
+  std::map<EdgeKey, ClassPrices> edge_entries_;
+  std::map<EdgeKey, RowEntry> row_entries_;
+  std::vector<NodeId> list_ids_;  ///< by node, kInvalidNode until asked
+  std::vector<std::vector<NodeId>> class_lists_;  ///< distinct, by class
+  u64 ticks_ = 0;
   u64 node_hits_ = 0;
   u64 edge_hits_ = 0;
 };
+
+/// How much of DpOptions::deadline_seconds the beam fallback may spend
+/// after a deadline trip (DESIGN.md §7.2).
+constexpr double kFallbackDeadlineShare = 0.5;
+/// Vertices the fallback places at the requested width before it may
+/// narrow it (sooner if they alone take an eighth of its share).
+constexpr i64 kFallbackProbeVertices = 8;
+
+/// Graceful-degradation fallback: a deterministic beam search over the same
+/// vertex ordering. Placing v^(i) adds its t_l plus the t_x of every
+/// incident edge whose other endpoint is already placed (each edge is
+/// counted exactly once, when its later endpoint is placed, so a completed
+/// state's accumulated cost is exactly Eq. (1)). Work is bounded by
+/// width * K per vertex — no substrategy tables, no blow-up.
+///
+/// Every price is read, not recomputed per candidate: t_l from the DP's
+/// VertexPricer, t_x as one row per (edge, configuration of its placed
+/// endpoint), priced the first time a kept state holds that configuration.
+/// A state's candidates are scored as one array accumulate, in the order
+/// state cost + t_l, then the earlier edges in incident order. A kept state
+/// is (cost, parent, config of v^(i)) plus the configs of its frontier —
+/// placed vertices with an unplaced neighbour, the only ones a later price
+/// reads — and the strategy is rebuilt once from the parent links.
+///
+/// `budget_seconds` > 0 (deadline trips) lets the width narrow, never below
+/// 1, so the remaining vertices fit the budget at the speed measured so
+/// far; 0 keeps `beam_width` throughout, which makes guard-trip answers
+/// deterministic. Honors an external cancellation token (`cancel`, may be
+/// null): a serving watchdog that kills a runaway solve must not then wait
+/// for the fallback. Returns false (result.strategy untouched) when
+/// cancelled before completing.
+bool beam_search_fallback(const Graph& graph, const Ordering& order,
+                          const ConfigCache& configs, const CostModel& cost,
+                          VertexPricer& pricer, i64 beam_width,
+                          double budget_seconds,
+                          const std::atomic<bool>* cancel, DpResult& result) {
+  PASE_CHECK(beam_width >= 1);
+  const WallTimer timer;
+  const i64 n = graph.num_nodes();
+  auto pos = [&](NodeId v) { return order.pos[static_cast<size_t>(v)]; };
+  auto poll = [&] {
+    return cancel && cancel->load(std::memory_order_relaxed)
+               ? DpResult::TripCause::kCancelled
+               : DpResult::TripCause::kNone;
+  };
+
+  // u stays on the frontier while pos(u) <= i < last[u], its latest
+  // neighbour's position.
+  std::vector<i64> last(static_cast<size_t>(n), -1);
+  for (const Edge& e : graph.edges()) {
+    i64& ls = last[static_cast<size_t>(e.src)];
+    i64& ld = last[static_cast<size_t>(e.dst)];
+    ls = std::max(ls, pos(e.dst));
+    ld = std::max(ld, pos(e.src));
+  }
+
+  struct Link {
+    u32 parent;  ///< the state's rank in the previous level
+    u32 cfg;     ///< its configuration index for v^(i)
+  };
+  std::vector<Link> links;  // every level's kept states, level after level
+  std::vector<size_t> level_begin(static_cast<size_t>(n));
+  std::vector<double> beam_cost{0.0}, next_cost;
+  std::vector<NodeId> frontier, next_frontier;  // slot -> node
+  std::vector<i64> slot_of(static_cast<size_t>(n), -1);
+  std::vector<i64> from_slot;  // next slot -> current slot, -1 = v^(i)
+  std::vector<u32> front, next_front;  // [state * |frontier| + slot]
+  struct EarlierEdge {
+    i64 slot;  ///< w's frontier slot
+    std::shared_ptr<VertexPricer::EdgeRows> rows;
+  };
+  std::vector<EarlierEdge> earlier;
+  std::vector<double> scores;
+  struct Candidate {
+    double cost;
+    u32 index;  ///< state rank * |C(v^(i))| + config index
+  };
+  std::vector<Candidate> candidates;
+  const auto better = [](const Candidate& a, const Candidate& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return a.index < b.index;
+  };
+
+  i64 width = beam_width;
+  double states_expanded = 0.0;
+  for (i64 i = 0; i < n; ++i) {
+    if (poll() != DpResult::TripCause::kNone) return false;
+    const NodeId vi = order.seq[static_cast<size_t>(i)];
+    const size_t kc = configs.at(vi).size();
+    std::shared_ptr<const std::vector<double>> layer_prices;
+    if (pricer.layer(vi, layer_prices, poll) != DpResult::TripCause::kNone)
+      return false;
+    const double* const layer = layer_prices->data();
+
+    earlier.clear();
+    for (EdgeId eid : graph.incident_edges(vi)) {
+      const Edge& e = graph.edge(eid);
+      const NodeId w = e.src == vi ? e.dst : e.src;
+      if (pos(w) < i)
+        earlier.push_back({slot_of[static_cast<size_t>(w)],
+                           pricer.earlier_edge_rows(eid, vi)});
+    }
+
+    const size_t beam = beam_cost.size();
+    const size_t nf = frontier.size();
+    PASE_CHECK(beam * kc <= std::numeric_limits<u32>::max());
+    scores.resize(beam * kc);
+    for (size_t s = 0; s < beam; ++s) {
+      double* const acc = scores.data() + s * kc;
+      for (size_t ci = 0; ci < kc; ++ci) acc[ci] = beam_cost[s] + layer[ci];
+      for (const EarlierEdge& ee : earlier) {
+        const double* const row =
+            ee.rows->row(front[s * nf + static_cast<size_t>(ee.slot)]);
+        for (size_t ci = 0; ci < kc; ++ci) acc[ci] += row[ci];
+      }
+    }
+
+    // Keep the best `width` under (cost, state rank, config index) — a
+    // strict total order, so the kept prefix is unique.
+    candidates.resize(scores.size());
+    for (size_t c = 0; c < scores.size(); ++c)
+      candidates[c] = {scores[c], static_cast<u32>(c)};
+    const size_t keep =
+        std::min(static_cast<size_t>(width), candidates.size());
+    std::nth_element(candidates.begin(),
+                     candidates.begin() + static_cast<std::ptrdiff_t>(keep),
+                     candidates.end(), better);
+    std::sort(candidates.begin(),
+              candidates.begin() + static_cast<std::ptrdiff_t>(keep), better);
+
+    // The next frontier: members that keep an unplaced neighbour, then
+    // v^(i) if it has one.
+    next_frontier.clear();
+    from_slot.clear();
+    for (size_t f = 0; f < nf; ++f)
+      if (last[static_cast<size_t>(frontier[f])] > i) {
+        next_frontier.push_back(frontier[f]);
+        from_slot.push_back(static_cast<i64>(f));
+      }
+    if (last[static_cast<size_t>(vi)] > i) {
+      next_frontier.push_back(vi);
+      from_slot.push_back(-1);
+    }
+    const size_t next_nf = next_frontier.size();
+
+    level_begin[static_cast<size_t>(i)] = links.size();
+    next_cost.resize(keep);
+    next_front.resize(keep * next_nf);
+    for (size_t k = 0; k < keep; ++k) {
+      const u32 s = candidates[k].index / static_cast<u32>(kc);
+      const u32 ci = candidates[k].index % static_cast<u32>(kc);
+      next_cost[k] = candidates[k].cost;
+      links.push_back({s, ci});
+      for (size_t f = 0; f < next_nf; ++f)
+        next_front[k * next_nf + f] =
+            from_slot[f] < 0
+                ? ci
+                : front[s * nf + static_cast<size_t>(from_slot[f])];
+    }
+    for (NodeId u : frontier) slot_of[static_cast<size_t>(u)] = -1;
+    for (size_t f = 0; f < next_nf; ++f)
+      slot_of[static_cast<size_t>(next_frontier[f])] = static_cast<i64>(f);
+    beam_cost.swap(next_cost);
+    front.swap(next_front);
+    frontier.swap(next_frontier);
+
+    // Deadline trips: after the probe, narrow the width to what the rest
+    // can afford at the measured cost per expanded state.
+    states_expanded += static_cast<double>(beam);
+    if (budget_seconds > 0.0 && i + 1 < n) {
+      const double spent = timer.elapsed_seconds();
+      if (i + 1 >= kFallbackProbeVertices || 8.0 * spent >= budget_seconds) {
+        const double per_state = spent / states_expanded;
+        const double affordable = (budget_seconds - spent) /
+                                  static_cast<double>(n - i - 1) / per_state;
+        if (affordable < static_cast<double>(width))
+          width = std::max<i64>(1, static_cast<i64>(affordable));
+      }
+    }
+  }
+
+  // The front state is the minimum; walk its parent links back.
+  result.strategy.assign(static_cast<size_t>(n), Config{});
+  u32 k = 0;
+  for (i64 i = n - 1; i >= 0; --i) {
+    const Link& link = links[level_begin[static_cast<size_t>(i)] + k];
+    const NodeId v = order.seq[static_cast<size_t>(i)];
+    result.strategy[static_cast<size_t>(v)] = configs.at(v)[link.cfg];
+    k = link.parent;
+  }
+  // Report the authoritative Eq. (1) evaluation of the extracted strategy
+  // (equal to the state's cost up to floating-point association).
+  result.best_cost = cost.total_cost(result.strategy);
+  result.beam_width_used = width;
+  return true;
+}
 
 }  // namespace
 
@@ -384,51 +591,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     }
   }
 
-  // D(i) and S(i) for every position, and the component roots, in one
-  // pass over the sequence.
-  std::vector<PositionState> states(static_cast<size_t>(n));
-  std::vector<i64> roots;
-  {
-    PhaseScope phase(trace, metrics, "dep_sets", "dp.phase.dep_sets_seconds");
-    AllVertexSets sets = compute_all_vertex_sets(graph, order);
-    for (i64 i = 0; i < n; ++i) {
-      PositionState& st = states[static_cast<size_t>(i)];
-      st.dependent = std::move(sets.dependent[static_cast<size_t>(i)]);
-      st.anchors = std::move(sets.subset_anchors[static_cast<size_t>(i)]);
-    }
-    roots = std::move(sets.roots);
-  }
-  std::vector<u32> cur_idx(static_cast<size_t>(n), 0);
-
-  // Guard/deadline/cancellation trips either abort the exact DP
-  // (kOutOfMemory, the paper Table I outcome) or degrade gracefully to the
-  // beam-search fallback — which itself honors the external cancel token,
-  // so a watchdog kill cannot be stalled by the fallback either.
-  auto degrade_or_fail = [&](std::string reason,
-                             DpResult::TripCause cause) -> DpResult {
-    result.guard_reason = std::move(reason);
-    result.trip_cause = cause;
-    bool fallback_ok = false;
-    if (options.degraded_fallback) {
-      PhaseScope phase(trace, metrics, "beam_fallback",
-                       "dp.phase.beam_fallback_seconds");
-      fallback_ok =
-          beam_search_fallback(graph, order, configs, cost,
-                               options.beam_width, options.cancel, result);
-    }
-    if (fallback_ok) {
-      result.status = DpStatus::kDegraded;
-    } else {
-      result.status = DpStatus::kOutOfMemory;
-      if (options.degraded_fallback) {
-        result.guard_reason += "; beam fallback cancelled";
-        result.trip_cause = DpResult::TripCause::kCancelled;
-      }
-    }
-    result.elapsed_seconds = timer.elapsed_seconds();
-    record_metrics();
-    return result;
-  };
   auto deadline_expired = [&] {
     return options.deadline_seconds > 0.0 &&
            timer.elapsed_seconds() > options.deadline_seconds;
@@ -449,18 +611,44 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
                       "s expired ") +
            where;
   };
+  // A trip (reason, cause) ends the DP and is handled after the vertex loop,
+  // once the tripped vertex's scopes have closed. A deadline or token that
+  // tripped during the set-up above skips the DP altogether: the fallback
+  // needs only the ordering, the configurations and the pricer.
+  std::optional<std::pair<std::string, DpResult::TripCause>> trip;
+  if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone)
+    trip.emplace(abort_message(cause, "before the first vertex"), cause);
+
+  // D(i) and S(i) for every position, and the component roots, in one
+  // pass over the sequence.
+  std::vector<PositionState> states(trip ? 0 : static_cast<size_t>(n));
+  std::vector<i64> roots;
+  if (!trip) {
+    PhaseScope phase(trace, metrics, "dep_sets", "dp.phase.dep_sets_seconds");
+    AllVertexSets sets = compute_all_vertex_sets(graph, order);
+    for (i64 i = 0; i < n; ++i) {
+      PositionState& st = states[static_cast<size_t>(i)];
+      st.dependent = std::move(sets.dependent[static_cast<size_t>(i)]);
+      st.anchors = std::move(sets.subset_anchors[static_cast<size_t>(i)]);
+    }
+    roots = std::move(sets.roots);
+  }
+  std::vector<u32> cur_idx(static_cast<size_t>(n), 0);
+
   // Cooperative cancellation across workers once the deadline expires or
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
   VertexPrices prices;
   std::vector<double> acc_seq;  // the calling thread's reduce accumulator
-  for (i64 i = 0; i < n; ++i) {
-    if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone)
-      return degrade_or_fail(
+  for (i64 i = 0; i < n && !trip; ++i) {
+    if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone) {
+      trip.emplace(
           abort_message(cause, "at vertex " + std::to_string(i) + " of " +
                                    std::to_string(n)),
           cause);
+      break;
+    }
     const NodeId vi = order.seq[static_cast<size_t>(i)];
     const auto& vi_configs = configs.at(vi);
     PositionState& st = states[static_cast<size_t>(i)];
@@ -482,18 +670,22 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     for (NodeId d : st.dependent)
       combos *= static_cast<double>(configs.at(d).size());
     const double work = combos * static_cast<double>(vi_configs.size());
-    if (combos > static_cast<double>(options.max_table_entries))
-      return degrade_or_fail(
+    if (combos > static_cast<double>(options.max_table_entries)) {
+      trip.emplace(
           "substrategy table for vertex " + std::to_string(i) + " needs " +
               fmt_count(combos) + " entries (guard: " +
               std::to_string(options.max_table_entries) + ")",
           DpResult::TripCause::kTableGuard);
-    if (work > static_cast<double>(options.max_combinations))
-      return degrade_or_fail(
+      break;
+    }
+    if (work > static_cast<double>(options.max_combinations)) {
+      trip.emplace(
           "vertex " + std::to_string(i) + " needs " + fmt_count(work) +
               " combination evaluations (guard: " +
               std::to_string(options.max_combinations) + ")",
           DpResult::TripCause::kWorkGuard);
+      break;
+    }
     result.max_combinations_analyzed = std::max(
         result.max_combinations_analyzed, static_cast<u64>(work));
 
@@ -527,11 +719,13 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
                          "dp.phase.pricing_seconds");
       price_cause = pricer.price(i, prices, abort_cause);
     }
-    if (price_cause != DpResult::TripCause::kNone)
-      return degrade_or_fail(
+    if (price_cause != DpResult::TripCause::kNone) {
+      trip.emplace(
           abort_message(price_cause,
                         "precomputing costs for vertex " + std::to_string(i)),
           price_cause);
+      break;
+    }
     PASE_CHECK(std::all_of(
         prices.later.begin(), prices.later.end(),
         [&](const VertexPrices::LaterEdge& le) {
@@ -663,11 +857,48 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       auto cause = abort_cause();
       if (cause == DpResult::TripCause::kNone)
         cause = DpResult::TripCause::kDeadline;
-      return degrade_or_fail(
+      trip.emplace(
           abort_message(cause, "enumerating substrategies of vertex " +
                                    std::to_string(i)),
           cause);
+      break;
     }
+  }
+
+  // Guard/deadline/cancellation trips either abort the exact DP
+  // (kOutOfMemory, the paper Table I outcome) or degrade gracefully to the
+  // beam-search fallback — which itself honors the external cancel token,
+  // so a watchdog kill cannot be stalled by the fallback either. The
+  // tripped vertex's scopes are closed by now, so the fallback's time is
+  // not also counted as table fill.
+  if (trip) {
+    result.guard_reason = std::move(trip->first);
+    result.trip_cause = trip->second;
+    bool fallback_ok = false;
+    if (options.degraded_fallback) {
+      PhaseScope phase(trace, metrics, "beam_fallback",
+                       "dp.phase.beam_fallback_seconds");
+      const double budget =
+          trip->second == DpResult::TripCause::kDeadline
+              ? kFallbackDeadlineShare * options.deadline_seconds
+              : 0.0;
+      fallback_ok = beam_search_fallback(graph, order, configs, cost, pricer,
+                                         options.beam_width, budget,
+                                         options.cancel, result);
+      phase.arg("width", result.beam_width_used);
+    }
+    if (fallback_ok) {
+      result.status = DpStatus::kDegraded;
+    } else {
+      result.status = DpStatus::kOutOfMemory;
+      if (options.degraded_fallback) {
+        result.guard_reason += "; beam fallback cancelled";
+        result.trip_cause = DpResult::TripCause::kCancelled;
+      }
+    }
+    result.elapsed_seconds = timer.elapsed_seconds();
+    record_metrics();
+    return result;
   }
 
   // For a weakly connected graph the last vertex covers everything:

@@ -23,8 +23,10 @@
 // InceptionV3 and Transformer (Table I) without actually exhausting RAM;
 // with DpOptions::degraded_fallback, a tripped guard (or an expired
 // wall-clock deadline) instead degrades gracefully to a bounded beam search
-// over the same vertex ordering and costs, returning a valid but possibly
-// suboptimal strategy with status kDegraded.
+// over the same vertex ordering and the same class-shared prices, returning
+// a valid but possibly suboptimal strategy with status kDegraded. After a
+// deadline trip the beam narrows its width to finish within a fixed share
+// of the deadline (DESIGN.md §7.2).
 //
 // Parallel execution and determinism contract
 // -------------------------------------------
@@ -91,7 +93,10 @@ struct DpOptions {
   /// the paper-reproduction benches keep reporting the Table I OOM outcome;
   /// pase_cli enables it.
   bool degraded_fallback = false;
-  /// Partial strategies kept per vertex by the fallback beam search.
+  /// Partial strategies kept per vertex by the fallback beam search. After
+  /// a guard trip the fallback keeps exactly this many (deterministic);
+  /// after a deadline trip it may narrow the width, never below 1, to fit
+  /// its fixed share of deadline_seconds (DESIGN.md §7.2).
   i64 beam_width = 256;
 
   /// Worker threads for the per-vertex configuration x substrategy fan-out:
@@ -145,6 +150,10 @@ struct DpResult {
 
   /// Worker threads actually used (DpOptions::num_threads resolved).
   i64 threads_used = 1;
+  /// Width the beam fallback ran at, 0 when it did not run. Below
+  /// DpOptions::beam_width only after a deadline trip, when the fallback
+  /// narrowed it to finish within its share of the deadline.
+  i64 beam_width_used = 0;
 };
 
 /// Stable wire name for a trip cause ("table_guard", "deadline", ...;

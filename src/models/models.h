@@ -82,6 +82,12 @@ Graph transformer_stack(i64 blocks, i64 batch = 8, i64 seq_len = 64,
 /// strategy service's `zoo` request field and pase_cli's --zoo flag.
 std::optional<Graph> zoo_graph(const std::string& name);
 
+/// Node count of "transformer_stack_<N>" (6N + 4), read from the name
+/// without building the graph, so a front end can refuse an oversized
+/// request first; nullopt for every other name (the other zoo models are
+/// fixed graphs of a few hundred nodes at most).
+std::optional<i64> zoo_stack_nodes(const std::string& name);
+
 /// A named benchmark graph.
 struct Benchmark {
   std::string name;

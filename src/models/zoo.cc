@@ -7,6 +7,32 @@
 
 namespace pase::models {
 
+namespace {
+
+/// N of a "transformer_stack_<N>" name, N in [1, 100000]. The suffix must be
+/// a plain decimal with no leading zero so every accepted name has exactly
+/// one spelling (the result cache keys on the name).
+std::optional<i64> stack_blocks(const std::string& name) {
+  constexpr char kStackPrefix[] = "transformer_stack_";
+  if (name.rfind(kStackPrefix, 0) != 0) return std::nullopt;
+  const std::string suffix = name.substr(sizeof(kStackPrefix) - 1);
+  if (suffix.empty() || suffix.size() > 6 ||
+      suffix.find_first_not_of("0123456789") != std::string::npos ||
+      suffix[0] == '0')
+    return std::nullopt;
+  const i64 blocks = std::stoll(suffix);
+  if (blocks < 1 || blocks > 100000) return std::nullopt;
+  return blocks;
+}
+
+}  // namespace
+
+std::optional<i64> zoo_stack_nodes(const std::string& name) {
+  const auto blocks = stack_blocks(name);
+  if (!blocks) return std::nullopt;
+  return 6 * *blocks + 4;
+}
+
 std::optional<Graph> zoo_graph(const std::string& name) {
   if (name == "alexnet") return alexnet();
   if (name == "inception_v3") return inception_v3();
@@ -30,21 +56,9 @@ std::optional<Graph> zoo_graph(const std::string& name) {
     return transformer_stack(/*blocks=*/8, /*batch=*/8, /*seq_len=*/128,
                              /*d_model=*/512, /*heads=*/8, /*d_ff=*/2048,
                              /*vocab=*/16384);
-  // Generated N-block GPT-style stacks ("transformer_stack_<N>", N in
-  // [1, 100000]): the repeated-structure scaling family
-  // (docs/BENCHMARKS.md). The suffix must be a plain
-  // decimal with no leading zero so every accepted name has exactly one
-  // spelling (the result cache keys on the name).
-  constexpr char kStackPrefix[] = "transformer_stack_";
-  if (name.rfind(kStackPrefix, 0) == 0) {
-    const std::string suffix = name.substr(sizeof(kStackPrefix) - 1);
-    if (!suffix.empty() && suffix.size() <= 6 &&
-        suffix.find_first_not_of("0123456789") == std::string::npos &&
-        suffix[0] != '0') {
-      const i64 blocks = std::stoll(suffix);
-      if (blocks >= 1 && blocks <= 100000) return transformer_stack(blocks);
-    }
-  }
+  // Generated N-block GPT-style stacks ("transformer_stack_<N>"): the
+  // repeated-structure scaling family (docs/BENCHMARKS.md).
+  if (const auto blocks = stack_blocks(name)) return transformer_stack(*blocks);
   return std::nullopt;
 }
 

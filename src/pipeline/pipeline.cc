@@ -7,6 +7,7 @@
 
 #include "cost/cost_model.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace pase {
@@ -34,6 +35,8 @@ struct IntervalCost {
   double compute_seconds = 0.0;
   Strategy strategy;  ///< indexed by position within the interval
   bool feasible = false;
+  i64 max_configs = 0;        ///< the interval solve's K
+  i64 max_dependent_set = 0;  ///< and M
 };
 
 }  // namespace
@@ -71,6 +74,8 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
       ic.feasible = true;
       ic.compute_seconds = r.best_cost / effective_flops;
       ic.strategy = r.strategy;
+      ic.max_configs = r.max_configs;
+      ic.max_dependent_set = r.max_dependent_set;
     }
     return ic;
   };
@@ -157,6 +162,8 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
       const IntervalCost& ic = interval_cost(cuts[k], cuts[k + 1], devices);
       stage.strategy = ic.strategy;
       stage.compute_seconds = ic.compute_seconds;
+      stage.max_configs = ic.max_configs;
+      stage.max_dependent_set = ic.max_dependent_set;
       stage.transfer_seconds =
           cuts[k + 1] < nb - 1 ? crossing_seconds(cuts[k + 1]) : 0.0;
       best.stages.push_back(std::move(stage));
@@ -235,14 +242,19 @@ PipelinedSearchResult find_best_pipelined_strategy(
   // Scatter the per-stage configs back onto original node ids and price
   // the composed strategy with Eq. (1) so the result carries the same
   // (strategy, cost) surface a plain solve does — the serve path's
-  // verify-on-hit and the CLI's report read these fields.
+  // verify-on-hit and the CLI's report read these fields. K and M are the
+  // largest over the stage solves.
   out.dp.status = DpStatus::kOk;
+  out.dp.threads_used = ThreadPool::resolve(solver.num_threads);
   out.dp.strategy.assign(static_cast<size_t>(graph.num_nodes()), Config());
   for (const PipelineStage& stage : pr.stages) {
     PASE_CHECK(stage.strategy.size() == stage.nodes.size());
     for (size_t i = 0; i < stage.nodes.size(); ++i)
       out.dp.strategy[static_cast<size_t>(stage.nodes[i])] =
           stage.strategy[i];
+    out.dp.max_configs = std::max(out.dp.max_configs, stage.max_configs);
+    out.dp.max_dependent_set =
+        std::max(out.dp.max_dependent_set, stage.max_dependent_set);
   }
   const CostModel cost(graph, solver.cost_params);
   out.dp.best_cost = cost.total_cost(out.dp.strategy);

@@ -39,6 +39,8 @@ struct PipelineStage {
   Strategy strategy;          ///< configs indexed like `nodes`
   double compute_seconds = 0.0;   ///< Eq. (1) cost of the stage / F
   double transfer_seconds = 0.0;  ///< activations forwarded to the next stage
+  i64 max_configs = 0;            ///< K of the stage's solve
+  i64 max_dependent_set = 0;      ///< M of the stage's solve
   double seconds() const { return compute_seconds + transfer_seconds; }
 };
 
@@ -80,10 +82,13 @@ struct PipelineSearchOptions {
 /// partition_pipeline, with each stage's subgraph re-parallelized under
 /// `solver` (split-dim gates included) on its share of the devices.
 struct PipelinedSearchResult {
-  /// Full-graph result. stages == 1: find_best_strategy's DpResult,
-  /// bit-identical. stages > 1: strategy is the per-stage configs scattered
-  /// back to original node ids, best_cost its Eq. (1) evaluation,
-  /// elapsed_seconds the whole search's wall time.
+  /// Full-graph result. PipelineSearchOptions::stages == 1:
+  /// find_best_strategy's DpResult, bit-identical. Otherwise (a searched
+  /// stage count, even one that settles on one stage): strategy is the
+  /// per-stage configs scattered back to original node ids, best_cost its
+  /// Eq. (1) evaluation, max_configs and max_dependent_set the largest over
+  /// the stage solves, threads_used the solver's, elapsed_seconds the whole
+  /// search's wall time.
   DpResult dp;
   i64 stages = 1;
   i64 devices_per_stage = 0;

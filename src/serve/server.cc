@@ -381,6 +381,12 @@ bool ServeCore::resolve(const ServeRequest& req, SolvePlan* plan,
   // The graph: a zoo model by name, or inline text through the hardened
   // parser (this is the service's untrusted-input boundary).
   if (!req.zoo.empty()) {
+    if (const auto nodes = models::zoo_stack_nodes(req.zoo);
+        nodes && *nodes > kMaxZooNodes) {
+      *error = "zoo model '" + req.zoo + "' has " + std::to_string(*nodes) +
+               " nodes (maximum " + std::to_string(kMaxZooNodes) + ")";
+      return false;
+    }
     auto built = models::zoo_graph(req.zoo);
     if (!built) {
       *error = "unknown zoo model '" + req.zoo + "'";

@@ -77,6 +77,15 @@
 
 namespace pase::serve {
 
+/// Largest zoo graph the daemon builds, in nodes: 10 000 transformer
+/// blocks. A zoo request names its size (transformer_stack_<N> has 6N + 4
+/// nodes), so resolve() answers `malformed` above the cap before building
+/// anything. DP tables cost about 20 KB per block, which bounds one such
+/// solve near 200 MB; the cap sits ten times above transformer_stack_1000
+/// (6 004 nodes), the largest stack the tests and the benchmark request.
+/// Inline models have their own, lower limit (ServeOptions::max_model_nodes).
+inline constexpr i64 kMaxZooNodes = 60'004;
+
 struct ServeOptions {
   i64 workers = 2;          ///< concurrent solves (ThreadPool size)
   i64 solver_threads = 1;   ///< DP threads within one solve

@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "search/baselines.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace pase {
 namespace {
@@ -434,6 +435,54 @@ TEST(ObsTrace, DpTraceNestsAndCoversPhases) {
       EXPECT_EQ(args->get("dep_set")->number,
                 static_cast<double>(r.dependent_set_sizes.at(vertex)));
     }
+}
+
+TEST(ObsTrace, BeamFallbackSpanOverlapsNoTableFill) {
+  // The table guard trips inside a vertex's table_fill scope; the fallback
+  // must run after that scope closes, or its time is counted twice.
+  const Graph g = testing::random_graph(10, 20, 11);
+  TraceSession session;
+  MetricsRegistry reg;
+  DpOptions options;
+  options.config_options.max_devices = 8;
+  options.cost_params = CostParams::for_machine(MachineSpec::gtx1080ti(8));
+  options.max_table_entries = 4;
+  options.degraded_fallback = true;
+  options.trace = &session;
+  options.metrics = &reg;
+  const DpResult r = find_best_strategy(g, options);
+  ASSERT_EQ(r.status, DpStatus::kDegraded);
+  ASSERT_EQ(r.trip_cause, DpResult::TripCause::kTableGuard);
+
+  const auto parsed = testing::JsonParser::parse(session.to_chrome_json());
+  ASSERT_TRUE(parsed.has_value());
+  const auto by_tid = parse_and_check_trace(*parsed);
+  check_nesting(by_tid);
+  std::vector<std::pair<double, double>> fills, fallbacks;
+  for (const auto& [tid, events] : by_tid)
+    for (const auto* e : events) {
+      const double ts = e->get("ts")->number;
+      const std::pair<double, double> span{ts, ts + e->get("dur")->number};
+      if (e->get("name")->string == "table_fill") fills.push_back(span);
+      if (e->get("name")->string == "beam_fallback") {
+        fallbacks.push_back(span);
+        EXPECT_EQ(e->get("args")->get("width")->number,
+                  static_cast<double>(options.beam_width));
+      }
+    }
+  ASSERT_EQ(fallbacks.size(), 1u);
+  ASSERT_FALSE(fills.empty());
+  constexpr double kSlackUs = 0.0011;
+  for (const auto& fill : fills)
+    EXPECT_TRUE(fill.second <= fallbacks[0].first + kSlackUs ||
+                fill.first >= fallbacks[0].second - kSlackUs)
+        << "table_fill [" << fill.first << ", " << fill.second
+        << "] overlaps beam_fallback [" << fallbacks[0].first << ", "
+        << fallbacks[0].second << "]";
+  // So the two phase gauges add up to no more than the whole solve.
+  EXPECT_LE(reg.gauge("dp.phase.table_fill_seconds") +
+                reg.gauge("dp.phase.beam_fallback_seconds"),
+            r.elapsed_seconds + 1e-4);
 }
 
 // Every zoo model the paper evaluates gets a full DP run with both sinks

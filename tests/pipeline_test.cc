@@ -208,6 +208,47 @@ TEST(PipelineSearch, AutoNeverLosesToAnyFixedStageCount) {
   }
 }
 
+TEST(PipelineSearch, SearchedStageCountCarriesSolveStats) {
+  // Any stage count but the disabled one composes its result from the
+  // stage solves; K, M and the thread count must come along, also when
+  // the search settles on one stage.
+  struct Case {
+    Graph graph;
+    MachineSpec machine;
+    i64 stages;  ///< 0 = auto
+  };
+  const Case cases[] = {
+      {models::mlp(32, {64, 64}), MachineSpec::gtx1080ti(4), 0},
+      {*models::zoo_graph("transformer_pipelined"), MachineSpec::gtx1080ti(8),
+       2}};
+  std::set<i64> stage_counts;
+  for (const Case& c : cases) {
+    DpOptions solver = search_solver(c.machine);
+    solver.num_threads = 2;
+    PipelineSearchOptions popts;
+    popts.stages = c.stages;
+    const PipelinedSearchResult r =
+        find_best_pipelined_strategy(c.graph, c.machine, solver, popts);
+    ASSERT_EQ(r.dp.status, DpStatus::kOk);
+    stage_counts.insert(r.stages);
+    EXPECT_EQ(r.dp.threads_used, 2);
+    i64 k = 0, m = 0;
+    for (const PipelineStage& stage : r.stage_details) {
+      k = std::max(k, stage.max_configs);
+      m = std::max(m, stage.max_dependent_set);
+    }
+    EXPECT_GT(k, 0);
+    EXPECT_EQ(r.dp.max_configs, k);
+    EXPECT_EQ(r.dp.max_dependent_set, m);
+    if (r.stages == 1) {
+      const DpResult plain = find_best_strategy(c.graph, solver);
+      EXPECT_EQ(r.dp.max_configs, plain.max_configs);
+      EXPECT_EQ(r.dp.max_dependent_set, plain.max_dependent_set);
+    }
+  }
+  EXPECT_EQ(stage_counts, (std::set<i64>{1, 2}));
+}
+
 TEST(PipelineSearch, InfeasiblePartitionReportsInfeasibleNotAbort) {
   // Tiny graph, 8 devices, 8 stages requested: the boundary budget admits
   // at most num_nodes stages, so no partition exists. The searched path

@@ -458,6 +458,38 @@ TEST(ServeCore, MalformedModelAndUnknownNamesAreClassified) {
   EXPECT_EQ(core.metrics().counter("serve.cache.misses"), 0u);
 }
 
+TEST(ServeCore, OversizedZooModelIsMalformedBeforeItIsBuilt) {
+  ServeCore core(quiet_options());
+  // 600 004 nodes: far above kMaxZooNodes. The size comes from the name,
+  // so nothing is built (that alone would take about a second).
+  auto r = parse_json(
+      core.handle_line(solve_line("transformer_stack_100000", 8)));
+  EXPECT_EQ(r->get_string("code"), "malformed");
+  EXPECT_NE(r->get_string("reason").find("600004 nodes"), std::string::npos)
+      << r->get_string("reason");
+  EXPECT_LT(r->get_number("elapsed_ms"), 100.0);
+  EXPECT_EQ(core.metrics().counter("serve.cache.misses"), 0u);
+  // The daemon is still there.
+  r = parse_json(core.handle_line("{\"op\":\"ping\"}"));
+  EXPECT_EQ(r->get_string("code"), "ok");
+}
+
+TEST(ServeCore, DeadlineTripOnLargeStackIsOnTime) {
+  // A 20 ms budget on a 6004-node stack: the exact search cannot finish,
+  // and the beam fallback must answer on its share of the deadline, long
+  // before the watchdog (deadline + the default grace) would kill it.
+  ServeOptions options = quiet_options();
+  options.watchdog_grace_ms = ServeOptions{}.watchdog_grace_ms;
+  ServeCore core(options);
+  const auto r = parse_json(core.handle_line(
+      solve_line("transformer_stack_1000", 8, ",\"deadline_ms\":20")));
+  EXPECT_EQ(r->get_string("code"), "degraded") << r->get_string("reason");
+  EXPECT_NE(r->get_string("reason").find("deadline"), std::string::npos);
+  EXPECT_FALSE(r->get_string("strategy").empty());
+  EXPECT_EQ(core.watchdog_kills(), 0u);
+  EXPECT_EQ(core.metrics().counter("serve.watchdog.kills"), 0u);
+}
+
 TEST(ServeCore, PingMetricsAndShutdownOps) {
   ServeCore core(quiet_options());
   auto r = parse_json(core.handle_line("{\"op\":\"ping\",\"id\":\"p\"}"));

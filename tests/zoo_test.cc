@@ -13,6 +13,21 @@
 namespace pase {
 namespace {
 
+TEST(Zoo, StackNodeCountIsReadFromTheName) {
+  // zoo_stack_nodes answers without building: 6N + 4, for exactly the
+  // names zoo_graph accepts as stacks.
+  for (const char* name : {"transformer_stack_1", "transformer_stack_50",
+                           "transformer_stack_1000"})
+    EXPECT_EQ(models::zoo_stack_nodes(name),
+              models::zoo_graph(name)->num_nodes())
+        << name;
+  EXPECT_EQ(models::zoo_stack_nodes("transformer_stack_100000"), 600004);
+  for (const char* name : {"alexnet", "transformer_stack_0",
+                           "transformer_stack_007", "transformer_stack_100001",
+                           "transformer_stack_"})
+    EXPECT_FALSE(models::zoo_stack_nodes(name).has_value()) << name;
+}
+
 TEST(Zoo, Resnet50Structure) {
   const Graph g = models::resnet50();
   EXPECT_TRUE(g.weakly_connected());

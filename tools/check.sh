@@ -12,7 +12,9 @@
 # and enforces a line-coverage floor over src/ (COV_FLOOR, default 70%).
 # Finally a docs gate cross-checks README.md against `pase_cli --help` so
 # flag documentation cannot drift. Golden/zoo-sweep tests carry the ctest
-# label `slow` and are excluded from the sanitizer lanes (`-LE slow`).
+# label `slow` and are excluded from the sanitizer lanes (`-LE slow`); the
+# wall-clock gates (`*IsOnTime`, label `timing`) measure optimized builds
+# and are excluded from every instrumented lane.
 #
 # Usage: tools/check.sh [build-dir]   (default: build-asan; the TSan build
 # goes in <build-dir>-tsan)
@@ -37,8 +39,9 @@ note "building (-j$JOBS)"
 cmake --build "$BUILD" -j "$JOBS" > "$BUILD.build.log" 2>&1 \
   || { bad "build (see $BUILD.build.log)"; exit 1; }
 
-note "running unit tests under sanitizers (fast tier: -LE slow)"
-(cd "$BUILD" && ctest --output-on-failure -LE slow -j "$JOBS") || bad "ctest"
+note "running unit tests under sanitizers (fast tier: -LE 'slow|timing')"
+(cd "$BUILD" && ctest --output-on-failure -LE 'slow|timing' -j "$JOBS") \
+  || bad "ctest"
 
 CLI="$BUILD/tools/pase_cli"
 
@@ -127,12 +130,34 @@ expect 0 "explicit single pipeline stage" -- \
 "$CLI" "$ROOT/tests/corpus/valid_tiny.pase" --devices 4 --split-dims spatial \
   2>/dev/null | grep -q "no eligible spatial/channel dims" \
   || bad "spatial split on a matmul-only model must report no eligible dims"
+# A searched stage count that settles on one stage still reports the stage
+# solve's K, M and thread count.
+auto_out="$("$CLI" "$ROOT/tests/corpus/valid_tiny.pase" --devices 4 \
+  --pipeline-stages auto --threads 2 2>/dev/null)"
+if grep -q "K: 10   M: 1 " <<< "$auto_out" && \
+   grep -q "^threads: 2$" <<< "$auto_out"; then
+  note "ok auto pipeline stages report K, M and threads"
+else
+  bad "--pipeline-stages auto must report K: 10, M: 1 and threads: 2"
+fi
 
 note "degraded-mode acceptance (guard trip must still exit 0)"
 expect 0 "dense model degrades gracefully" -- \
   "$ROOT/tools/dense_model.pase" --devices 4
 expect 1 "dense model under --strict" -- \
   "$ROOT/tools/dense_model.pase" --devices 4 --strict
+# A deadline trip on a 6004-layer stack: the fallback narrows its width to
+# its share of the deadline, so a degraded strategy comes back in well
+# under a second (a width-256 beam would take seconds).
+stack_out="$(timeout 10 "$CLI" --zoo transformer_stack_1000 --devices 8 \
+  --deadline 0.02 2>/dev/null)"
+stack_rc=$?
+if [ "$stack_rc" -eq 0 ] && grep -q "DEGRADED STRATEGY" <<< "$stack_out" \
+   && grep -q "transformer_stack_1000 on 8x .* \[degraded\]" <<< "$stack_out"; then
+  note "ok (0) deadline-degraded 1000-block stack within 10 s"
+else
+  bad "transformer_stack_1000 --deadline 0.02 must print a degraded strategy within 10 s (exit $stack_rc)"
+fi
 
 note "observability flags (--trace-out / --metrics-out)"
 OBS_TMP="${TMPDIR:-/tmp}/pase_check_obs"
@@ -269,7 +294,7 @@ if [ -f "$TSAN_BUILD/CMakeCache.txt" ]; then
   if [ -x "$TSAN_BUILD/tests/pase_tests" ]; then
     note "running concurrency tests under TSan"
     TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/pase_tests" \
-        --gtest_filter='ThreadPool.*:LayerClasses.*:Determinism.*:DpSolver*.*:Serve*.*:HaloCost.*' \
+        --gtest_filter='ThreadPool.*:LayerClasses.*:Determinism.*:DpSolver*.*:Serve*.*:HaloCost.*-*IsOnTime' \
       || bad "TSan concurrency tests"
   fi
 fi
@@ -286,7 +311,7 @@ if [ -f "$UBSAN_BUILD/CMakeCache.txt" ]; then
     || bad "UBSan build (see $UBSAN_BUILD.build.log)"
   if [ -x "$UBSAN_BUILD/tests/pase_tests" ]; then
     note "running full test suite under UBSan"
-    "$UBSAN_BUILD/tests/pase_tests" --gtest_filter='-*Golden*:ObsZoo*' \
+    "$UBSAN_BUILD/tests/pase_tests" --gtest_filter='-*Golden*:ObsZoo*:*IsOnTime' \
         > "$UBSAN_BUILD.test.log" 2>&1 \
       || bad "UBSan test suite (see $UBSAN_BUILD.test.log)"
   fi
@@ -305,7 +330,7 @@ if [ -f "$COV_BUILD/CMakeCache.txt" ]; then
     || bad "coverage build (see $COV_BUILD.build.log)"
   if [ -x "$COV_BUILD/tests/pase_tests" ]; then
     note "running fast test tier with gcov instrumentation"
-    (cd "$COV_BUILD" && ctest -LE slow -j "$JOBS" > ctest.log 2>&1) \
+    (cd "$COV_BUILD" && ctest -LE 'slow|timing' -j "$JOBS" > ctest.log 2>&1) \
       || bad "coverage test run (see $COV_BUILD/ctest.log)"
     note "aggregating line coverage over src/ (floor: $COV_FLOOR%)"
     # gcov per .gcda; -r drops system headers, -s makes paths repo-relative.

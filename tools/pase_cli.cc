@@ -563,7 +563,8 @@ int main(int argc, char** argv) {
                 "The exact search could not finish: %s.\n"
                 "Falling back to beam search (width %lld); the strategy "
                 "below is valid but\nmay be suboptimal.\n\n",
-                r.guard_reason.c_str(), static_cast<long long>(beam_width));
+                r.guard_reason.c_str(),
+                static_cast<long long>(r.beam_width_used));
   }
 
   const std::string title =
