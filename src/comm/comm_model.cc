@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "util/check.h"
-#include "util/hash.h"
 
 namespace pase {
 
@@ -26,14 +24,6 @@ double ring_wire_bytes(double bytes, i64 group) {
   if (group <= 1) return 0.0;
   return 2.0 * bytes * static_cast<double>(group - 1) /
          static_cast<double>(group);
-}
-
-u64 shape_key(Collective c, double bytes, i64 group) {
-  u64 bits;
-  static_assert(sizeof(bits) == sizeof(bytes));
-  std::memcpy(&bits, &bytes, sizeof(bits));
-  u64 h = hash_combine(static_cast<u64>(c), bits);
-  return hash_combine(h, static_cast<u64>(group));
 }
 
 }  // namespace
@@ -254,15 +244,8 @@ double CommModel::algorithm_time(CommAlgo a, Collective c, double bytes,
   return flat_time(a, c, bytes, group, link_bw(group), link_latency(group));
 }
 
-CommAlgo CommModel::chosen_algorithm(Collective c, double bytes,
-                                     i64 group) const {
-  if (bytes <= 0.0 || group <= 1) return CommAlgo::kRing;
-  const u64 key = shape_key(c, bytes, group);
-  {
-    std::lock_guard<std::mutex> lock(choice_mutex_);
-    const auto it = choice_memo_.find(key);
-    if (it != choice_memo_.end()) return it->second;
-  }
+std::pair<CommAlgo, double> CommModel::cheapest(Collective c, double bytes,
+                                                i64 group) const {
   CommAlgo best = CommAlgo::kRing;
   double best_time = algorithm_time(best, c, bytes, group);
   for (CommAlgo a : {CommAlgo::kTree, CommAlgo::kHalvingDoubling,
@@ -273,9 +256,13 @@ CommAlgo CommModel::chosen_algorithm(Collective c, double bytes,
       best_time = t;
     }
   }
-  std::lock_guard<std::mutex> lock(choice_mutex_);
-  choice_memo_.emplace(key, best);
-  return best;
+  return {best, best_time};
+}
+
+CommAlgo CommModel::chosen_algorithm(Collective c, double bytes,
+                                     i64 group) const {
+  if (bytes <= 0.0 || group <= 1) return CommAlgo::kRing;
+  return cheapest(c, bytes, group).first;
 }
 
 double CommModel::collective_time(Collective c, double bytes,
@@ -289,9 +276,9 @@ double CommModel::collective_time(Collective c, double bytes,
       count_use(kSimpleUseSlot);
       return simple_time(c, bytes, group);
     case CommModelKind::kAuto: {
-      const CommAlgo a = chosen_algorithm(c, bytes, group);
+      const auto [a, t] = cheapest(c, bytes, group);
       count_use(static_cast<size_t>(a));
-      return algorithm_time(a, c, bytes, group);
+      return t;
     }
     case CommModelKind::kRing:
       count_use(static_cast<size_t>(CommAlgo::kRing));

@@ -11,9 +11,9 @@
 // — NCCL/MPI pick trees or halving-doubling for latency-bound small
 // messages and rings or hierarchical compositions for bandwidth-bound large
 // ones — and Mesh-TensorFlow / FlexFlow both attribute strategy-ranking
-// shifts to exactly this interaction. CommModelKind::kAuto models it: the
-// cheapest algorithm per (collective, bytes, group) is selected by argmin
-// over the closed forms below and memoized.
+// shifts to exactly this interaction. CommModelKind::kAuto models it: every
+// call prices its (collective, bytes, group) with the cheapest algorithm,
+// an argmin over the closed forms below taken anew on each call.
 //
 // Cost conventions (n = logical tensor bytes, g = group size,
 // L = ceil(log2 g), alpha = per-message link latency, 1/bw = per-byte
@@ -40,21 +40,19 @@
 // hard-coded — so reproduction benches keep their output unchanged; it is
 // the default everywhere.
 //
-// Thread-safety: const member functions are safe to call concurrently; the
-// kAuto choice memo is guarded by an internal mutex, and because every
-// closed form is a pure function of (collective, bytes, group), memoized
-// results are bit-identical regardless of which thread populated an entry
-// first — the parallel DP's determinism contract is preserved.
+// Thread-safety: const member functions are safe to call concurrently. The
+// model keeps no cache: every price is a pure function of (collective,
+// bytes, group) and the machine it was built from, so a price has the same
+// bits on every thread and in every model built from the same machine. The
+// only mutable state is the relaxed per-family use counters.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include <mutex>
 
 #include "cost/machine.h"
 #include "util/types.h"
@@ -107,7 +105,7 @@ struct CommPhases {
 };
 
 /// Prices collectives on one machine. Immutable after construction apart
-/// from the internal kAuto memo (see the file comment for thread-safety).
+/// from the use counters (see the file comment for thread-safety).
 /// Built from a MachineSpec, so fault-layer perturbations (scale_links,
 /// stragglers) compose automatically: a degraded spec yields a degraded
 /// comm model.
@@ -141,9 +139,9 @@ class CommModel {
   double algorithm_time(CommAlgo a, Collective c, double bytes,
                         i64 group) const;
 
-  /// The algorithm kAuto picks (and memoizes) for this shape: the argmin of
-  /// algorithm_time over all families, ties broken by enum order. Returns
-  /// kRing for degenerate shapes (bytes <= 0 or group <= 1).
+  /// The algorithm kAuto picks for this shape: the argmin of algorithm_time
+  /// over all families, ties broken by enum order. Returns kRing for
+  /// degenerate shapes (bytes <= 0 or group <= 1).
   CommAlgo chosen_algorithm(Collective c, double bytes, i64 group) const;
 
   /// Intra-/inter-node breakdown of the hierarchical composition;
@@ -173,6 +171,10 @@ class CommModel {
                       const std::string& prefix) const;
 
  private:
+  /// kAuto's choice and its price in one pass: the strict argmin of
+  /// algorithm_time over the families in enum order, with the winner's time.
+  std::pair<CommAlgo, double> cheapest(Collective c, double bytes,
+                                       i64 group) const;
   /// A flat (single-level) algorithm over `group` ranks on the link class
   /// the group implies.
   double flat_time(CommAlgo a, Collective c, double bytes, i64 group,
@@ -211,9 +213,6 @@ class CommModel {
   double inter_bw_;
   double latency_s_;
   std::vector<LinkTier> tiers_;  ///< multi-tier fabric; empty = two-level
-
-  mutable std::mutex choice_mutex_;
-  mutable std::unordered_map<u64, CommAlgo> choice_memo_;
 
   /// Slots 0..3 mirror CommAlgo; the extra slot counts kSimple pricings.
   static constexpr size_t kSimpleUseSlot = 4;

@@ -112,8 +112,8 @@ void enumerate_rec(const IterSpace& space, const ConfigOptions& opts,
   }
   const IterDim& d = space.dim(dim);
   const i64 budget = opts.max_devices / degree_so_far;
-  i64 max_factor = mask[static_cast<size_t>(dim)] ? budget : 1;
-  if (opts.cap_by_extent) max_factor = std::min(max_factor, d.size);
+  const i64 max_factor =
+      std::min(mask[static_cast<size_t>(dim)] ? budget : 1, d.size);
   for (i64 f = 1; f <= max_factor;
        f = opts.powers_of_two_only ? f * 2 : f + 1) {
     cur.set(dim, static_cast<u16>(f));

@@ -78,9 +78,6 @@ struct ConfigOptions {
   /// The paper uses <= p; full-use is provided for ablation.
   bool require_full_use = false;
 
-  /// Never split a dim more ways than its extent.
-  bool cap_by_extent = true;
-
   /// Optional per-configuration admission predicate, applied after the
   /// structural rules. Used e.g. for per-device memory caps (paper §I:
   /// large models cannot replicate their parameters, so data-parallel
@@ -90,8 +87,9 @@ struct ConfigOptions {
 };
 
 /// Enumerates C(v) for the given iteration space. Factors for non-splittable
-/// dims are fixed to 1. The serial configuration (all ones) is always first
-/// (unless require_full_use excludes it), making tie-breaking deterministic.
+/// dims are fixed to 1, and no dim is split more ways than its extent. The
+/// serial configuration (all ones) is always first (unless
+/// require_full_use excludes it), making tie-breaking deterministic.
 /// The per-node `filter` and the split-dim gates are not applied here
 /// (there is no node to classify dims against).
 std::vector<Config> enumerate_configs(const IterSpace& space,

@@ -34,8 +34,8 @@
 // every substrategy phi of D(i) is evaluated independently and written to
 // its own slot of a dense mixed-radix table (earlier vertices' tables are
 // only read). With DpOptions::num_threads != 1 the solver fans these
-// evaluations across a work-stealing ThreadPool, decomposing the phi index
-// range into fixed chunks by index — never by scheduling — and each phi's
+// evaluations across a ThreadPool, decomposing the phi index range into
+// fixed chunks by index — never by scheduling — and each phi's
 // minimization scans configurations in enumeration order with strict
 // less-than, exactly as the sequential loop does. Consequently the returned
 // strategy, cost, status and diagnostics are BIT-IDENTICAL at every thread

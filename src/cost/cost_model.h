@@ -167,12 +167,11 @@ struct CostBreakdown {
 /// member function is const, so one instance may be shared by any number
 /// of threads — the parallel DP solver and multi-chain MCMC rely on this.
 /// Every query evaluates the closed forms directly: they cost tens of
-/// nanoseconds, less than a hash-map lookup of a memoized value would. The
-/// one piece of hidden state is behind CostParams::comm: a kAuto CommModel
-/// memoizes its per-shape algorithm choice under an internal mutex. Each
-/// choice is a pure function of the shape, so prices are bit-identical
-/// whichever thread or earlier request filled the memo (the serve daemon
-/// shares one CommModel across requests on purpose).
+/// nanoseconds, less than a hash-map lookup of a memoized value would.
+/// CostParams carries no hidden state either: a kAuto CommModel behind
+/// CostParams::comm computes its per-shape algorithm choice on every call,
+/// so each price is a pure function of the shape and the machine (only the
+/// model's relaxed use counters change).
 class CostModel {
  public:
   CostModel(const Graph& graph, CostParams params)

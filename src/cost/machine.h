@@ -81,7 +81,6 @@ struct MachineSpec {
   double tier_bandwidth(i64 group) const {
     return tier_for_group(group).bandwidth;
   }
-  double tier_latency(i64 group) const { return tier_for_group(group).latency_s; }
 
   double flops_of(i64 rank) const {
     if (device_flops.empty()) return peak_flops;

@@ -5,7 +5,7 @@
 // Parallel sweep: the strategy space is a cross product of per-node
 // configuration lists, so each strategy has a mixed-radix linear index.
 // With num_threads != 1 the index range is chunked and swept on a
-// work-stealing pool; chunks are reduced in index order and ties broken by
+// thread pool; chunks are reduced in index order and ties broken by
 // the lower strategy index, which is exactly the sequential loop's
 // first-strict-improvement rule — the result is bit-identical at any
 // thread count. Safe to call concurrently from multiple threads.

@@ -25,17 +25,11 @@
 #include "pipeline/pipeline.h"
 #include "serve/json.h"
 #include "sim/memory.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace pase::serve {
 
 namespace {
-
-/// Bound on distinct comm models kept warm; past it the memo is dropped
-/// wholesale and simply warms up again (the result cache has real LRU —
-/// these are cheap to rebuild by comparison).
-constexpr size_t kMaxWarmMemos = 64;
 
 /// The response code and reason for a solver status. Cache hits and fresh
 /// solves both map through here.
@@ -126,26 +120,6 @@ void ServeCore::watchdog_main() {
       }
     }
   }
-}
-
-std::shared_ptr<const CommModel> ServeCore::comm_model_for(
-    const ServeRequest& request, const MachineSpec& machine,
-    CommModelKind kind) {
-  u64 h = 0x9e3779b97f4a7c15ull;
-  const std::string& machine_key = request.machine_spec_json.empty()
-                                       ? request.machine
-                                       : request.machine_spec_json;
-  for (const char c : machine_key) h = hash_combine(h, static_cast<u8>(c));
-  h = hash_combine(h, static_cast<u64>(request.devices));
-  for (const char c : request.comm_model)
-    h = hash_combine(h, static_cast<u8>(c));
-  std::lock_guard<std::mutex> lk(comm_models_mu_);
-  auto it = comm_models_.find(h);
-  if (it != comm_models_.end()) return it->second;
-  if (comm_models_.size() >= kMaxWarmMemos) comm_models_.clear();
-  auto model = std::make_shared<const CommModel>(machine, kind);
-  comm_models_[h] = model;
-  return model;
 }
 
 // ---------------------------------------------------------------------------
@@ -429,9 +403,6 @@ bool ServeCore::resolve(const ServeRequest& req, SolvePlan* plan,
   if (req.memory_gb > 0)
     options.config_options.filter = memory_config_filter(req.memory_gb * 1e9);
   options.cost_params = hetero_cost_params(plan->machine, *comm_kind);
-  if (options.cost_params.comm)
-    options.cost_params.comm =
-        comm_model_for(req, plan->machine, *comm_kind);  // warm memo
   options.degraded_fallback = true;
   options.beam_width = req.beam_width;
   options.num_threads = options_.solver_threads;

@@ -26,11 +26,11 @@
 //    machine, solver options with their CostParams — and verify-on-hit,
 //    the solve, the stored check_cost and the render all read that plan,
 //    so they cannot disagree about how the request is priced.
-//  * Warm state: a (graph signature, machine, p, ...) -> result LRU and a
-//    CommModel memo, whose kAuto choices every plan's CostParams share,
-//    survive across requests. Cached results are verified on every hit
-//    (see result_cache.h) and only timing-independent results are stored,
-//    so a cache hit is byte-identical to a fresh solve.
+//  * Warm state: a (graph signature, machine, p, ...) -> result LRU is the
+//    only state that survives across requests; each plan builds its own
+//    CommModel. Cached results are verified on every hit (see
+//    result_cache.h) and only timing-independent results are stored, so a
+//    cache hit is byte-identical to a fresh solve.
 //
 // Observability invariants (DESIGN.md §11):
 //  * Every request gets exactly one event-log line (obs/event_log.h),
@@ -62,7 +62,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "comm/comm_model.h"
 #include "core/dp_solver.h"
 #include "cost/machine.h"
 #include "graph/graph.h"
@@ -258,9 +257,6 @@ class ServeCore {
                          std::chrono::steady_clock::time_point submitted,
                          double deadline_ms, const InjectDraw& draw,
                          TraceSession* trace, u64 seq);
-  std::shared_ptr<const CommModel> comm_model_for(const ServeRequest& request,
-                                                  const MachineSpec& machine,
-                                                  CommModelKind kind);
   void watchdog_main();
   /// Renders + appends the one event-log line for this request.
   void log_event(const RequestScope& scope, const ServeRequest* request,
@@ -280,9 +276,6 @@ class ServeCore {
   RollingHistogram roll_total_;
   RollingHistogram roll_queue_;
   RollingHistogram roll_solve_;
-
-  std::mutex comm_models_mu_;
-  std::unordered_map<u64, std::shared_ptr<const CommModel>> comm_models_;
 
   std::mutex flight_mu_;
   std::unordered_map<u64, std::shared_ptr<Flight>> flights_;

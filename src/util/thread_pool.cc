@@ -7,18 +7,6 @@
 
 namespace pase {
 
-namespace {
-
-/// Identifies the pool (and worker slot) the current thread belongs to, so
-/// nested submissions land on the submitting worker's own deque.
-struct WorkerIdentity {
-  ThreadPool* pool = nullptr;
-  i64 slot = -1;
-};
-thread_local WorkerIdentity tls_identity;
-
-}  // namespace
-
 i64 ThreadPool::resolve(i64 requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -27,99 +15,39 @@ i64 ThreadPool::resolve(i64 requested) {
 
 ThreadPool::ThreadPool(i64 num_threads) {
   const i64 n = resolve(num_threads);
-  deques_.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i)
-    deques_.push_back(std::make_unique<WorkerDeque>());
   workers_.reserve(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
+  for (i64 i = 0; i < n; ++i) workers_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(idle_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
-  idle_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
 void ThreadPool::push(std::function<void()> task) {
-  size_t target;
-  if (tls_identity.pool == this && tls_identity.slot >= 0) {
-    target = static_cast<size_t>(tls_identity.slot);
-  } else {
-    target = static_cast<size_t>(rr_.fetch_add(1, std::memory_order_relaxed) %
-                                 deques_.size());
-  }
   {
-    std::lock_guard<std::mutex> lk(deques_[target]->mu);
-    deques_[target]->q.push_back(std::move(task));
+    std::lock_guard<std::mutex> lk(mu_);
+    queue_.push_back(std::move(task));
   }
-  {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    ++queued_;
-  }
-  idle_cv_.notify_one();
+  cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(i64 slot, std::function<void()>& out) {
-  const i64 n = static_cast<i64>(deques_.size());
-  bool found = false;
-  // Own deque first (LIFO end for locality), then steal from the others'
-  // FIFO end, starting just past our slot to spread contention.
-  if (slot >= 0) {
-    WorkerDeque& own = *deques_[static_cast<size_t>(slot)];
-    std::lock_guard<std::mutex> lk(own.mu);
-    if (!own.q.empty()) {
-      out = std::move(own.q.back());
-      own.q.pop_back();
-      found = true;
-    }
-  }
-  for (i64 k = 0; !found && k < n; ++k) {
-    const size_t victim = static_cast<size_t>((slot + 1 + k) % n);  // slot>=-1
-    if (slot >= 0 && victim == static_cast<size_t>(slot)) continue;
-    WorkerDeque& d = *deques_[victim];
-    std::lock_guard<std::mutex> lk(d.mu);
-    if (!d.q.empty()) {
-      out = std::move(d.q.front());
-      d.q.pop_front();
-      found = true;
-    }
-  }
-  if (found) {
-    std::lock_guard<std::mutex> lk(idle_mu_);
-    --queued_;
-  }
-  return found;
-}
-
-bool ThreadPool::run_one() {
-  const i64 slot = tls_identity.pool == this ? tls_identity.slot : -1;
-  std::function<void()> task;
-  if (!try_pop(slot, task)) return false;
-  {
-    TraceSession::Span s(trace_.load(std::memory_order_acquire), "task");
-    task();
-  }
-  return true;
-}
-
-void ThreadPool::worker_main(i64 slot) {
-  tls_identity = {this, slot};
+void ThreadPool::worker_main() {
   for (;;) {
     std::function<void()> task;
-    if (try_pop(slot, task)) {
-      {
-        TraceSession::Span s(trace_.load(std::memory_order_acquire), "task");
-        task();
-      }
-      continue;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and every task has run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    std::unique_lock<std::mutex> lk(idle_mu_);
-    idle_cv_.wait(lk, [&] { return stop_ || queued_ > 0; });
-    if (stop_ && queued_ == 0) return;
+    TraceSession::Span s(trace_.load(std::memory_order_acquire), "task");
+    task();
   }
 }
 
@@ -165,14 +93,14 @@ void ThreadPool::parallel_for(i64 begin, i64 end, i64 grain,
 
   // Helpers for every worker; `body` stays alive because this frame blocks
   // until all chunks are done, and the helpers only touch it while a chunk
-  // is still unclaimed or running.
+  // is still unclaimed or running. A helper that starts after the last
+  // chunk was claimed returns at once.
   const i64 helpers =
       std::min<i64>(num_threads(), std::max<i64>(0, nchunks - 1));
   for (i64 i = 0; i < helpers; ++i) push(drain);
   drain();  // the calling thread participates
-  while (shared->done.load(std::memory_order_acquire) < nchunks) {
-    if (!run_one()) std::this_thread::yield();
-  }
+  while (shared->done.load(std::memory_order_acquire) < nchunks)
+    std::this_thread::yield();
   // Take the exception out of `shared` before rethrowing: a worker's copy
   // of `drain` may still hold the last reference to `shared` and destroy it
   // after the caller's catch block has started reading the exception. With

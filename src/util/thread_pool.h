@@ -1,12 +1,15 @@
-// Work-stealing thread pool used by the search engines (DP solver,
-// exhaustive search, multi-chain MCMC) to fan independent cost evaluations
-// across cores.
+// Thread pool used by the search engines (DP solver, exhaustive search,
+// multi-chain MCMC) to fan independent cost evaluations across cores, and
+// by the serving daemon to run admitted solves.
 //
 // Thread-safety and determinism contract:
+//  * The pool is one first-in-first-out queue: workers start tasks in the
+//    order they were submitted, whichever thread submitted them.
 //  * submit() and parallel_for() may be called from any thread, including
-//    from inside a pool task (nested submission is supported; a task that
-//    must wait on another task should do so via wait(), which executes
-//    pending work instead of blocking a worker).
+//    from inside a pool task. A task must not block on the future of a task
+//    queued behind it (on a busy pool that task may never start); a nested
+//    parallel_for() is safe, because its caller runs every chunk no other
+//    thread has claimed and only waits for chunks already running.
 //  * parallel_for() decomposes [begin, end) into fixed chunks by index, so
 //    the mapping of iteration -> chunk is a pure function of (begin, end,
 //    grain) and never depends on the number of threads or on scheduling.
@@ -55,10 +58,8 @@ class ThreadPool {
   /// structs (DpOptions::num_threads, pase_cli --threads).
   static i64 resolve(i64 requested);
 
-  /// Schedules `f` and returns a future for its result. The task runs on
-  /// whichever worker dequeues it; if called from inside a pool task the
-  /// new task is pushed to the submitting worker's own deque (and may be
-  /// stolen by idle workers — the "work-stealing" part).
+  /// Queues `f` behind every task submitted before it and returns a future
+  /// for its result; the first idle worker runs it.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -71,9 +72,9 @@ class ThreadPool {
 
   /// Runs body(chunk_begin, chunk_end) over a fixed, scheduling-independent
   /// decomposition of [begin, end) into chunks of `grain` indices (last
-  /// chunk may be short). The calling thread participates. Blocks until all
-  /// chunks have run; rethrows the lowest-chunk exception if any body threw
-  /// (remaining chunks are skipped once a failure is recorded).
+  /// chunk may be short). The calling thread participates, then yields
+  /// until the chunks other threads claimed have finished; rethrows the
+  /// lowest-chunk exception if any body threw.
   ///
   /// `cancel` makes the loop cooperatively cancellable: when non-null and
   /// set, chunks not yet started are skipped (already-running bodies finish
@@ -85,23 +86,6 @@ class ThreadPool {
                     const std::function<void(i64, i64)>& body,
                     const std::atomic<bool>* cancel = nullptr);
 
-  /// Waits for `fut` while helping execute pending pool work, so a task may
-  /// submit subtasks and wait on them without deadlocking even on a
-  /// 1-thread pool. Returns fut.get() (rethrowing its exception, if any).
-  template <typename T>
-  T wait(std::future<T>& fut) {
-    while (fut.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!run_one()) std::this_thread::yield();
-    }
-    return fut.get();
-  }
-
-  /// Executes one pending task if any is available (own deque first, then
-  /// stealing from the other workers). Returns false when every deque was
-  /// empty. Public so callers can help drain the pool while polling.
-  bool run_one();
-
   /// Attaches (or detaches, with nullptr) a trace session: every task the
   /// pool executes is then recorded as a "task" span on the executing
   /// thread's lane. The session must outlive its attachment; task spans are
@@ -112,24 +96,16 @@ class ThreadPool {
   }
 
  private:
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<std::function<void()>> q;
-  };
-
   void push(std::function<void()> task);
-  void worker_main(i64 slot);
-  bool try_pop(i64 slot, std::function<void()>& out);
+  void worker_main();
 
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
   std::vector<std::thread> workers_;
 
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  i64 queued_ = 0;  ///< tasks pushed but not yet popped (guarded by idle_mu_)
-  bool stop_ = false;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  ///< FIFO (guarded by mu_)
+  bool stop_ = false;                        ///< guarded by mu_
 
-  std::atomic<u64> rr_{0};  ///< round-robin cursor for external submissions
   std::atomic<TraceSession*> trace_{nullptr};
 };
 

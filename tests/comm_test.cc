@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "comm/comm_model.h"
@@ -154,6 +156,37 @@ TEST(CommModel, AutoNeverExceedsAnyForcedAlgorithm) {
   }
 }
 
+TEST(CommModel, AutoPricesTheArgminBitwise) {
+  // kAuto prices each call by the argmin over the families, with nothing
+  // remembered between calls: its price is bitwise the least family price
+  // and the price of the family it reports choosing, and a model that has
+  // priced nothing yet returns the same bits.
+  const auto bits = [](double x) { return std::bit_cast<u64>(x); };
+  for (const MachineSpec& m :
+       {MachineSpec::gtx1080ti(64), MachineSpec::mixed_pod(64),
+        MachineSpec::multi_tier(32)}) {
+    const CommModel cm(m, CommModelKind::kAuto);
+    for (Collective c : kCollectives) {
+      for (double n : {256.0, 1e6, 3e8}) {
+        for (i64 g : {2LL, 8LL, 16LL, 32LL, 64LL}) {
+          double least = cm.algorithm_time(kAlgos[0], c, n, g);
+          for (CommAlgo a : kAlgos)
+            least = std::min(least, cm.algorithm_time(a, c, n, g));
+          const double t = cm.collective_time(c, n, g);
+          const CommAlgo chosen = cm.chosen_algorithm(c, n, g);
+          const CommModel fresh(m, CommModelKind::kAuto);
+          SCOPED_TRACE(testing::Message() << m.name << " "
+                                          << collective_name(c) << " n=" << n
+                                          << " g=" << g);
+          EXPECT_EQ(bits(t), bits(least));
+          EXPECT_EQ(bits(t), bits(cm.algorithm_time(chosen, c, n, g)));
+          EXPECT_EQ(bits(t), bits(fresh.collective_time(c, n, g)));
+        }
+      }
+    }
+  }
+}
+
 TEST(CommModel, SimpleModeMatchesLegacyClosedForm) {
   // kSimple must price exactly what the pre-comm-library simulator
   // hard-coded: flat intra-node ring for single-node groups, the fixed
@@ -217,8 +250,10 @@ TEST(CommCost, AutoModeRepricesCollectivesButNotCompute) {
 }
 
 TEST(Determinism, AutoCommModelBitIdenticalAcrossThreads) {
-  // The kAuto choice memo is shared by every DP worker thread; results must
-  // not depend on which thread selected an algorithm first.
+  // Both solves price through one kAuto CommModel (par copies base's
+  // CostParams). Its choices are computed per call, so the strategy and
+  // cost must depend neither on the thread count nor on which solve priced
+  // a shape first.
   for (const Graph& g : {models::alexnet(), models::rnnlm()}) {
     DpOptions base;
     base.config_options.max_devices = 16;

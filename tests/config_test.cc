@@ -121,16 +121,6 @@ TEST(ConfigEnum, CapByExtent) {
   }
 }
 
-TEST(ConfigEnum, ExtentCapDisabled) {
-  ConfigOptions opts;
-  opts.max_devices = 8;
-  opts.cap_by_extent = false;
-  bool oversplit = false;
-  for (const Config& c : enumerate_configs(space3(2, 64, 64), opts))
-    oversplit |= c[0] > 2;
-  EXPECT_TRUE(oversplit);
-}
-
 TEST(ConfigEnum, FullUseRequiresExactProduct) {
   ConfigOptions opts;
   opts.max_devices = 8;

@@ -574,8 +574,16 @@ TEST(ServeCore, OverloadShedsExplicitlyWithoutDeadlock) {
   std::thread holder([&] {
     slow_response = core.handle_line(solve_line("mlp", 4));
   });
-  // Wait until the holder's solve is admitted, then overflow the queue
-  // with a *different* query (same-key requests would dedup, not shed).
+  // Wait until the holder's solve is admitted and running on the worker
+  // (its injected sleep has started), so the overflow request below cannot
+  // take the only admission slot first and get the holder shed.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (core.metrics().counter("serve.inject.slow") < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Then overflow the queue with a *different* query (same-key requests
+  // would dedup, not shed).
   std::string shed_response;
   for (int i = 0; i < 200; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

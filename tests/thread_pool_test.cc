@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -19,14 +21,14 @@ TEST(ThreadPool, SubmitReturnsResultThroughFuture) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4);
   auto fut = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(pool.wait(fut), 42);
+  EXPECT_EQ(fut.get(), 42);
 }
 
 TEST(ThreadPool, SubmitPropagatesExceptions) {
   ThreadPool pool(2);
   auto fut = pool.submit(
       []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait(fut), std::runtime_error);
+  EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, ManySubmissionsAllRun) {
@@ -35,22 +37,34 @@ TEST(ThreadPool, ManySubmissionsAllRun) {
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 200; ++i)
     futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  for (auto& f : futures) pool.wait(f);
+  for (auto& f : futures) f.get();
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock) {
-  // A pool task that submits a subtask and waits for it must not deadlock,
-  // even when every worker is busy (1-thread pool = worst case).
-  for (const i64 threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    auto outer = pool.submit([&pool] {
-      auto inner = pool.submit([] { return 10; });
-      auto inner2 = pool.submit([] { return 32; });
-      return pool.wait(inner) + pool.wait(inner2);
-    });
-    EXPECT_EQ(pool.wait(outer), 42) << "threads=" << threads;
-  }
+TEST(ThreadPool, SubmissionsRunFirstInFirstOut) {
+  // One worker, held by a running blocker while eight more tasks queue up:
+  // once released, the worker must run them in submission order.
+  ThreadPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto blocker = pool.submit([&started, released] {
+    started.set_value();
+    released.wait();
+  });
+  started.get_future().wait();
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 8; ++i)
+    futures.push_back(pool.submit([&mu, &order, i] {
+      std::lock_guard<std::mutex> lk(mu);
+      order.push_back(i);
+    }));
+  release.set_value();
+  blocker.get();
+  for (auto& f : futures) f.get();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {

@@ -186,6 +186,17 @@ else
   bad "structural metrics differ between --threads 1 and --threads 8"
 fi
 
+# The kAuto comm model's per-family use counts (comm.cost.*) are a pure
+# function of the shapes the search prices, so they are fixed numbers.
+expect 0 "auto comm model metrics" -- \
+  --zoo alexnet --devices 32 --comm-model auto --threads 1 \
+  --metrics-out "$OBS_TMP/auto.json"
+for count in '"comm.cost.algo.hd": 550' '"comm.cost.algo.hier": 56' \
+             '"comm.cost.algo.ring": 319'; do
+  grep -qF "$count" "$OBS_TMP/auto.json" \
+    || bad "auto comm model metrics missing $count"
+done
+
 note "Prometheus metrics exposition (--metrics-format prom)"
 expect 0 "prom metrics snapshot" -- \
   "$ROOT/tools/example_model.pase" --devices 8 \
