@@ -12,7 +12,9 @@
 //                (dp.phase.reduce_seconds)
 //
 // Section "models": for each N in {8, 100, 1000} (transformer_stack_<N>,
-// 6N + 4 layers), at p = 8 with every hardware thread:
+// 6N + 4 layers), at p = 8. The solver is given every hardware thread, but
+// no vertex of these stacks is large enough to fan out to the pool, so the
+// rows time one thread's work and cannot show a pool regression:
 //   cold_ms           exact solve with default options, min of 3 trials
 //   graph_phases_ms   the ordering + dep_sets phases of that trial, read
 //                     from the solver's dp.phase.*_seconds gauges

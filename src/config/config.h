@@ -5,6 +5,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,9 @@ class Config {
     return true;
   }
   bool operator!=(const Config& o) const { return !(*this == o); }
+  /// By rank, then factor by factor (slots past the rank stay zero), so
+  /// configuration lists can key an ordered map.
+  auto operator<=>(const Config& o) const = default;
 
   u64 hash() const { return hash_range(c_.data(), static_cast<size_t>(rank_)); }
 

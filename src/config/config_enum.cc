@@ -1,6 +1,8 @@
 #include "config/config_enum.h"
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <sstream>
 
 #include "graph/graph.h"
@@ -157,9 +159,43 @@ std::vector<Config> enumerate_node_configs(const Node& node,
 }
 
 ConfigCache::ConfigCache(const Graph& graph, const ConfigOptions& opts) {
-  lists_.reserve(static_cast<size_t>(graph.num_nodes()));
-  for (const Node& n : graph.nodes())
-    lists_.push_back(enumerate_node_configs(n, opts));
+  // Enumeration reads only a node's extents and split mask, so each
+  // distinct pair of them is enumerated once (with its list's id when no
+  // filter runs); a filter reads the node itself and runs per node. `ids`
+  // interns the lists in first-seen order, so equal lists share one id.
+  std::map<std::vector<i64>, std::pair<std::vector<Config>, u32>> enumerated;
+  std::map<std::vector<Config>, u32> ids;
+  auto intern = [&](const std::vector<Config>& list) {
+    return ids.try_emplace(list, static_cast<u32>(ids.size())).first->second;
+  };
+  std::vector<i64> inputs;
+  std::vector<bool> mask;
+  list_id_.reserve(static_cast<size_t>(graph.num_nodes()));
+  for (const Node& n : graph.nodes()) {
+    inputs.clear();
+    mask.clear();
+    for (i64 i = 0; i < n.space.rank(); ++i) {
+      mask.push_back(dim_splittable(n, i, opts.split_dims));
+      inputs.push_back(n.space.dim(i).size);
+      inputs.push_back(mask.back());
+    }
+    auto [it, fresh] = enumerated.try_emplace(inputs);
+    auto& [list, id] = it->second;
+    if (fresh) {
+      list = enumerate_masked(n.space, opts, mask);
+      if (!opts.filter) id = intern(list);
+    }
+    if (!opts.filter) {
+      list_id_.push_back(id);
+      continue;
+    }
+    std::vector<Config> kept;
+    std::copy_if(list.begin(), list.end(), std::back_inserter(kept),
+                 [&](const Config& c) { return opts.filter(n, c); });
+    list_id_.push_back(intern(kept));
+  }
+  lists_.resize(ids.size());
+  for (const auto& [list, id] : ids) lists_[id] = list;
 }
 
 i64 ConfigCache::max_configs() const {

@@ -102,22 +102,30 @@ std::vector<Config> enumerate_configs(const IterSpace& space,
 std::vector<Config> enumerate_node_configs(const Node& node,
                                            const ConfigOptions& opts);
 
-/// Per-node configuration lists for a whole graph, indexed by NodeId.
+/// Per-node configuration lists for a whole graph, indexed by NodeId:
+/// at(v) equals enumerate_node_configs(v, opts), but each distinct
+/// (extents, split mask) is enumerated once, a set `filter` runs per node,
+/// and each distinct list is stored once. Two nodes share a list id iff
+/// their lists are equal, and then share the storage too.
 class ConfigCache {
  public:
   ConfigCache() = default;
   ConfigCache(const class Graph& graph, const ConfigOptions& opts);
 
   const std::vector<Config>& at(NodeId id) const {
-    return lists_[static_cast<size_t>(id)];
+    return lists_[list_id(id)];
   }
-  i64 num_nodes() const { return static_cast<i64>(lists_.size()); }
+  /// Ids run 0..num_lists()-1 in the order the lists first appear.
+  u32 list_id(NodeId id) const { return list_id_[static_cast<size_t>(id)]; }
+  i64 num_nodes() const { return static_cast<i64>(list_id_.size()); }
+  i64 num_lists() const { return static_cast<i64>(lists_.size()); }
 
   /// K = max_v |C(v)| (paper's complexity parameter).
   i64 max_configs() const;
 
  private:
-  std::vector<std::vector<Config>> lists_;
+  std::vector<std::vector<Config>> lists_;  ///< distinct, by list id
+  std::vector<u32> list_id_;                ///< by node
 };
 
 }  // namespace pase

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <memory>
 #include <optional>
-#include <tuple>
 
 #include "core/dep_sets.h"
 #include "cost/layer_classes.h"
@@ -91,67 +89,34 @@ void extract(const std::vector<PositionState>& states,
 /// The H term's prices for one vertex v^(i) of recurrence (4): t_l(v^(i), C)
 /// for every C in C(v^(i)), and r * t_x of each later edge (in incident
 /// order) as a matrix laid out [cw][ci], so the reduce for one phi reads one
-/// contiguous column per edge.
+/// contiguous column per edge. Both point into the pricer's store.
 struct VertexPrices {
   struct LaterEdge {
-    NodeId other;  ///< w, the later endpoint (a member of D(i))
-    std::shared_ptr<const std::vector<double>>
-        matrix;  ///< [cw * |C(v^(i))| + ci]
+    NodeId other;          ///< w, the later endpoint (a member of D(i))
+    const double* matrix;  ///< [cw * |C(v^(i))| + ci]
   };
-  std::shared_ptr<const std::vector<double>> layer;  ///< [ci]
+  const double* layer = nullptr;  ///< [ci]
   std::vector<LaterEdge> later;
 };
 
 /// Prices vertices for the DP and its beam fallback, once per structural
-/// class. Same-class vertices (LayerClasses) share their t_l vector; an edge
-/// shares its prices with every edge of the same (edge class, orientation,
-/// node class of v^(i), node class of w). Equal classes imply equal costs
-/// for equal configurations, and the actual configuration LISTS are
-/// compared before an entry is reused (a ConfigOptions filter could in
-/// principle admit different lists for same-class nodes; the entry is then
-/// re-priced and replaced), so a shared price is bit-identical to a fresh
-/// one. Each node's list is compared once, against its class's distinct
-/// lists, so a reuse check is an id comparison. The DP prices on the
-/// calling thread before the parallel fan-out, so the hit counts are
-/// identical at any thread count.
+/// class. A LayerClasses class fixes the configuration lists as well as the
+/// costs, so its id alone decides reuse, and a shared price is
+/// bit-identical to a fresh one. t_l is kept by node class, r * t_x by
+/// oriented edge class; the DP prices every row of a table, the fallback
+/// only the rows its kept states hold. The DP prices on the calling thread
+/// before the parallel fan-out, so the hit counts are identical at any
+/// thread count.
 class VertexPricer {
  public:
-  /// r * t_x of one edge between v^(i) and an EARLIER neighbour w, as the
-  /// beam fallback reads it: one row [ci] over C(v^(i)) per configuration
-  /// of w, each priced the first time it is asked for.
-  class EdgeRows {
-   public:
-    EdgeRows(const CostModel& cost, const Edge& edge, bool vi_is_src,
-             const std::vector<Config>& vi_configs,
-             const std::vector<Config>& w_configs)
-        : cost_(cost),
-          edge_(edge),
-          vi_is_src_(vi_is_src),
-          vi_configs_(vi_configs),
-          w_configs_(w_configs),
-          rows_(w_configs.size()) {}
-
-    /// The row for w in configuration cw. It stays valid while the
-    /// EdgeRows lives: pricing another row moves no row already returned.
-    const double* row(u32 cw) {
-      std::vector<double>& r = rows_[cw];
-      if (r.empty()) {
-        r.resize(vi_configs_.size());
-        for (size_t ci = 0; ci < r.size(); ++ci)
-          r[ci] = vi_is_src_
-                      ? cost_.edge_cost(edge_, vi_configs_[ci], w_configs_[cw])
-                      : cost_.edge_cost(edge_, w_configs_[cw], vi_configs_[ci]);
-      }
-      return r.data();
-    }
-
-   private:
-    const CostModel& cost_;
-    const Edge& edge_;
-    const bool vi_is_src_;
-    const std::vector<Config>& vi_configs_;
-    const std::vector<Config>& w_configs_;
-    std::vector<std::vector<double>> rows_;  ///< by cw; empty = not priced
+  /// r * t_x of one oriented edge class over C(w) x C(v^(i)), w being the
+  /// other endpoint. Allocated uninitialized: row cw holds prices once
+  /// priced[cw] is set, and a row nobody asks for costs nothing.
+  struct EdgeTable {
+    EdgeId edge = -1;  ///< the edge it was first asked for
+    bool vi_is_src = false;
+    std::unique_ptr<double[]> prices;  ///< [cw * |C(v^(i))| + ci]
+    std::vector<bool> priced;          ///< by cw
   };
 
   VertexPricer(const Graph& graph, const Ordering& order,
@@ -160,32 +125,69 @@ class VertexPricer {
         order_(order),
         configs_(configs),
         cost_(cost),
-        classes_(graph),
-        node_entries_(static_cast<size_t>(classes_.num_node_classes())),
-        list_ids_(static_cast<size_t>(graph.num_nodes()), kInvalidNode),
-        class_lists_(static_cast<size_t>(classes_.num_node_classes())) {}
+        classes_(graph, configs),
+        layers_(static_cast<size_t>(classes_.num_node_classes())),
+        tables_(2 * static_cast<size_t>(classes_.num_edge_classes())) {}
 
   /// t_l(v, C) for every C in C(v), into `out`. `poll` is called every 256
   /// cost evaluations and returns kNone to continue; any other cause stops
   /// the pricing and is returned.
   template <class Poll>
-  DpResult::TripCause layer(NodeId v,
-                            std::shared_ptr<const std::vector<double>>& out,
-                            Poll&& poll) {
-    const auto& v_configs = configs_.at(v);
-    ClassPrices& entry = node_entries_[classes_.node_class(v)];
-    if (entry.rep_vi != kInvalidNode && list_id(entry.rep_vi) == list_id(v)) {
+  DpResult::TripCause layer(NodeId v, const double*& out, Poll&& poll) {
+    std::vector<double>& prices = layers_[classes_.node_class(v)];
+    if (!prices.empty()) {
       ++node_hits_;
     } else {
-      auto layer = std::make_shared<std::vector<double>>(v_configs.size());
+      const auto& v_configs = configs_.at(v);
+      prices.resize(v_configs.size());
       for (size_t c = 0; c < v_configs.size(); ++c) {
-        if (const auto cause = tick(poll); cause != DpResult::TripCause::kNone)
+        if (const auto cause = tick(poll);
+            cause != DpResult::TripCause::kNone) {
+          prices.clear();  // empty = not priced
           return cause;
-        (*layer)[c] = cost_.node_cost(v, v_configs[c]);
+        }
+        prices[c] = cost_.node_cost(v, v_configs[c]);
       }
-      entry = {v, kInvalidNode, std::move(layer)};
     }
-    out = entry.prices;
+    out = prices.data();
+    return DpResult::TripCause::kNone;
+  }
+
+  /// The table of edge `eid` as seen from its endpoint `vi`, allocated with
+  /// no row priced the first time its oriented class is asked for.
+  EdgeTable& table(EdgeId eid, NodeId vi) {
+    const Edge& e = graph_.edge(eid);
+    EdgeTable& t =
+        tables_[2 * size_t{classes_.edge_class(eid)} + (e.src == vi)];
+    if (t.prices) {
+      ++edge_hits_;
+    } else {
+      const size_t kw = configs_.at(e.src == vi ? e.dst : e.src).size();
+      t.edge = eid;
+      t.vi_is_src = e.src == vi;
+      t.prices = std::make_unique_for_overwrite<double[]>(
+          kw * configs_.at(vi).size());
+      t.priced.assign(kw, false);
+    }
+    return t;
+  }
+
+  /// Prices row cw of `t` unless it is priced already; `poll` as in
+  /// layer().
+  template <class Poll>
+  DpResult::TripCause price_row(EdgeTable& t, u32 cw, Poll&& poll) {
+    if (t.priced[cw]) return DpResult::TripCause::kNone;
+    const Edge& e = graph_.edge(t.edge);
+    const auto& vi_configs = configs_.at(t.vi_is_src ? e.src : e.dst);
+    const Config& cw_config = configs_.at(t.vi_is_src ? e.dst : e.src)[cw];
+    double* const row = t.prices.get() + size_t{cw} * vi_configs.size();
+    for (size_t ci = 0; ci < vi_configs.size(); ++ci) {
+      if (const auto cause = tick(poll); cause != DpResult::TripCause::kNone)
+        return cause;
+      row[ci] = t.vi_is_src ? cost_.edge_cost(e, vi_configs[ci], cw_config)
+                            : cost_.edge_cost(e, cw_config, vi_configs[ci]);
+    }
+    t.priced[cw] = true;
     return DpResult::TripCause::kNone;
   }
 
@@ -194,8 +196,6 @@ class VertexPricer {
   template <class Poll>
   DpResult::TripCause price(i64 i, VertexPrices& out, Poll&& poll) {
     const NodeId vi = order_.seq[static_cast<size_t>(i)];
-    const auto& vi_configs = configs_.at(vi);
-    const size_t kc = vi_configs.size();
     if (const auto cause = layer(vi, out.layer, poll);
         cause != DpResult::TripCause::kNone)
       return cause;
@@ -205,96 +205,20 @@ class VertexPricer {
       const Edge& e = graph_.edge(eid);
       const NodeId w = e.src == vi ? e.dst : e.src;
       if (order_.pos[static_cast<size_t>(w)] <= i) continue;
-      const auto& w_configs = configs_.at(w);
-      const bool vi_is_src = e.src == vi;
-      ClassPrices& edge_entry = edge_entries_[edge_key(eid, vi, w)];
-      if (serves(edge_entry.rep_vi, edge_entry.rep_w, vi, w)) {
-        ++edge_hits_;
-      } else {
-        auto matrix = std::make_shared<std::vector<double>>(kc *
-                                                            w_configs.size());
-        for (size_t cw = 0; cw < w_configs.size(); ++cw)
-          for (size_t ci = 0; ci < kc; ++ci) {
-            if (const auto cause = tick(poll);
-                cause != DpResult::TripCause::kNone)
-              return cause;
-            const Config& src = vi_is_src ? vi_configs[ci] : w_configs[cw];
-            const Config& dst = vi_is_src ? w_configs[cw] : vi_configs[ci];
-            (*matrix)[cw * kc + ci] = cost_.edge_cost(e, src, dst);
-          }
-        edge_entry = {vi, w, std::move(matrix)};
-      }
-      out.later.push_back({w, edge_entry.prices});
+      EdgeTable& t = table(eid, vi);
+      for (u32 cw = 0; cw < t.priced.size(); ++cw)
+        if (const auto cause = price_row(t, cw, poll);
+            cause != DpResult::TripCause::kNone)
+          return cause;
+      out.later.push_back({w, t.prices.get()});
     }
     return DpResult::TripCause::kNone;
-  }
-
-  /// The rows of edge `eid` from v^(i) = `vi` to its earlier endpoint,
-  /// shared by every edge of the same key whose endpoints have the same
-  /// configuration lists.
-  std::shared_ptr<EdgeRows> earlier_edge_rows(EdgeId eid, NodeId vi) {
-    const Edge& e = graph_.edge(eid);
-    const NodeId w = e.src == vi ? e.dst : e.src;
-    RowEntry& entry = row_entries_[edge_key(eid, vi, w)];
-    if (serves(entry.rep_vi, entry.rep_w, vi, w)) {
-      ++edge_hits_;
-    } else {
-      entry = {vi, w,
-               std::make_shared<EdgeRows>(cost_, e, e.src == vi,
-                                          configs_.at(vi), configs_.at(w))};
-    }
-    return entry.rows;
   }
 
   u64 node_hits() const { return node_hits_; }
   u64 edge_hits() const { return edge_hits_; }
 
  private:
-  /// One shared price vector or matrix and the vertices it was priced for.
-  struct ClassPrices {
-    NodeId rep_vi = kInvalidNode;
-    NodeId rep_w = kInvalidNode;
-    std::shared_ptr<const std::vector<double>> prices;
-  };
-  struct RowEntry {
-    NodeId rep_vi = kInvalidNode;
-    NodeId rep_w = kInvalidNode;
-    std::shared_ptr<EdgeRows> rows;
-  };
-  using EdgeKey = std::tuple<u32, bool, u32, u32>;
-
-  EdgeKey edge_key(EdgeId eid, NodeId vi, NodeId w) const {
-    return {classes_.edge_class(eid), graph_.edge(eid).src == vi,
-            classes_.node_class(vi), classes_.node_class(w)};
-  }
-
-  /// Whether an edge entry priced for (rep_vi, rep_w) serves (vi, w): the
-  /// key matched the classes, this checks the configuration lists.
-  bool serves(NodeId rep_vi, NodeId rep_w, NodeId vi, NodeId w) {
-    return rep_vi != kInvalidNode && list_id(rep_vi) == list_id(vi) &&
-           list_id(rep_w) == list_id(w);
-  }
-
-  /// The first node of v's class, in the order asked, whose configuration
-  /// list equals v's: two same-class nodes have equal lists iff their ids
-  /// match.
-  NodeId list_id(NodeId v) {
-    NodeId& id = list_ids_[static_cast<size_t>(v)];
-    if (id == kInvalidNode) {
-      std::vector<NodeId>& lists = class_lists_[classes_.node_class(v)];
-      for (NodeId u : lists)
-        if (configs_.at(u) == configs_.at(v)) {
-          id = u;
-          break;
-        }
-      if (id == kInvalidNode) {
-        id = v;
-        lists.push_back(v);
-      }
-    }
-    return id;
-  }
-
   /// Calls `poll` on every 256th cost evaluation.
   template <class Poll>
   DpResult::TripCause tick(Poll& poll) {
@@ -306,11 +230,10 @@ class VertexPricer {
   const ConfigCache& configs_;
   const CostModel& cost_;
   const LayerClasses classes_;
-  std::vector<ClassPrices> node_entries_;  ///< by node class
-  std::map<EdgeKey, ClassPrices> edge_entries_;
-  std::map<EdgeKey, RowEntry> row_entries_;
-  std::vector<NodeId> list_ids_;  ///< by node, kInvalidNode until asked
-  std::vector<std::vector<NodeId>> class_lists_;  ///< distinct, by class
+  /// t_l by node class; empty until priced.
+  std::vector<std::vector<double>> layers_;
+  /// r * t_x by 2 x edge class + (v^(i) is the source).
+  std::vector<EdgeTable> tables_;
   u64 ticks_ = 0;
   u64 node_hits_ = 0;
   u64 edge_hits_ = 0;
@@ -330,9 +253,9 @@ constexpr i64 kFallbackProbeVertices = 8;
 /// state's accumulated cost is exactly Eq. (1)). Work is bounded by
 /// width * K per vertex — no substrategy tables, no blow-up.
 ///
-/// Every price is read, not recomputed per candidate: t_l from the DP's
-/// VertexPricer, t_x as one row per (edge, configuration of its placed
-/// endpoint), priced the first time a kept state holds that configuration.
+/// Every price is read, not recomputed per candidate: t_l and t_x from the
+/// DP's VertexPricer, a t_x row per (edge class, configuration of the placed
+/// endpoint) priced the first time a kept state holds that configuration.
 /// A state's candidates are scored as one array accumulate, in the order
 /// state cost + t_l, then the earlier edges in incident order. A kept state
 /// is (cost, parent, config of v^(i)) plus the configs of its frontier —
@@ -384,7 +307,7 @@ bool beam_search_fallback(const Graph& graph, const Ordering& order,
   std::vector<u32> front, next_front;  // [state * |frontier| + slot]
   struct EarlierEdge {
     i64 slot;  ///< w's frontier slot
-    std::shared_ptr<VertexPricer::EdgeRows> rows;
+    VertexPricer::EdgeTable* table;
   };
   std::vector<EarlierEdge> earlier;
   std::vector<double> scores;
@@ -404,18 +327,17 @@ bool beam_search_fallback(const Graph& graph, const Ordering& order,
     if (poll() != DpResult::TripCause::kNone) return false;
     const NodeId vi = order.seq[static_cast<size_t>(i)];
     const size_t kc = configs.at(vi).size();
-    std::shared_ptr<const std::vector<double>> layer_prices;
-    if (pricer.layer(vi, layer_prices, poll) != DpResult::TripCause::kNone)
+    const double* layer = nullptr;
+    if (pricer.layer(vi, layer, poll) != DpResult::TripCause::kNone)
       return false;
-    const double* const layer = layer_prices->data();
 
     earlier.clear();
     for (EdgeId eid : graph.incident_edges(vi)) {
       const Edge& e = graph.edge(eid);
       const NodeId w = e.src == vi ? e.dst : e.src;
       if (pos(w) < i)
-        earlier.push_back({slot_of[static_cast<size_t>(w)],
-                           pricer.earlier_edge_rows(eid, vi)});
+        earlier.push_back(
+            {slot_of[static_cast<size_t>(w)], &pricer.table(eid, vi)});
     }
 
     const size_t beam = beam_cost.size();
@@ -426,8 +348,11 @@ bool beam_search_fallback(const Graph& graph, const Ordering& order,
       double* const acc = scores.data() + s * kc;
       for (size_t ci = 0; ci < kc; ++ci) acc[ci] = beam_cost[s] + layer[ci];
       for (const EarlierEdge& ee : earlier) {
-        const double* const row =
-            ee.rows->row(front[s * nf + static_cast<size_t>(ee.slot)]);
+        const u32 cw = front[s * nf + static_cast<size_t>(ee.slot)];
+        if (pricer.price_row(*ee.table, cw, poll) !=
+            DpResult::TripCause::kNone)
+          return false;
+        const double* const row = ee.table->prices.get() + size_t{cw} * kc;
         for (size_t ci = 0; ci < kc; ++ci) acc[ci] += row[ci];
       }
     }
@@ -769,7 +694,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     // `cur` (config index per node) and `acc` are the caller's scratch, one
     // per worker in the parallel fan-out, so workers share no mutable state.
     const size_t kc = vi_configs.size();
-    const double* const layer = prices.layer->data();
+    const double* const layer = prices.layer;
     auto process_range = [&](u64 p0, u64 p1, std::vector<u32>& cur,
                              std::vector<double>& acc_storage) {
       const size_t kd = st.dependent.size();
@@ -803,7 +728,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         for (size_t ci = 0; ci < kc; ++ci) acc[ci] = base + layer[ci];
         for (const VertexPrices::LaterEdge& le : prices.later) {
           const double* const col =
-              le.matrix->data() +
+              le.matrix +
               static_cast<size_t>(cur[static_cast<size_t>(le.other)]) * kc;
           for (size_t ci = 0; ci < kc; ++ci) acc[ci] += col[ci];
         }

@@ -11,9 +11,11 @@
 // connected-subset anchors. D(i) and S(i) come from one pass over the
 // sequence (compute_all_vertex_sets). Each vertex is then handled in two
 // steps (dp_solver.cc):
-//   pricing  the H terms — the t_l vector of v^(i) and the t_x matrix of
+//   pricing  the H terms — the t_l vector of v^(i) and the t_x table of
 //            each later edge — priced once per structural class of layer
-//            and edge (LayerClasses): vertices of the same class share them;
+//            and oriented edge (LayerClasses, whose classes fix the
+//            configuration lists too) and kept in stores indexed by class
+//            id alone, which the beam fallback reads as well;
 //   reduce   a min-plus kernel that, for one phi at a time, adds those
 //            prices and the anchors' R values into a |C(v^(i))| array and
 //            keeps its first strict minimum.

@@ -8,11 +8,12 @@ namespace pase {
 
 namespace {
 
-/// Exact structural signature of everything layer_cost() reads from a Node.
-/// Built as a flat integer/double vector and compared with std::map's exact
-/// ordering, so two nodes share a class iff the cost model cannot tell them
-/// apart (names and op kinds are irrelevant to cost).
-void node_signature(const Node& n, std::vector<double>& s) {
+/// Exact structural signature of everything layer_cost() reads from a Node,
+/// then the id of its configuration list. Built as a flat integer/double
+/// vector and compared with std::map's exact ordering, so two nodes share a
+/// class iff the cost model cannot tell them apart and their lists are equal
+/// (names and op kinds are irrelevant to cost).
+void node_signature(const Node& n, u32 list_id, std::vector<double>& s) {
   s.clear();
   s.push_back(static_cast<double>(n.space.rank()));
   for (i64 d = 0; d < n.space.rank(); ++d)
@@ -34,17 +35,22 @@ void node_signature(const Node& n, std::vector<double>& s) {
   s.push_back(static_cast<double>(n.output.volume));
   s.push_back(static_cast<double>(n.output.dims.size()));
   for (i32 d : n.output.dims) s.push_back(static_cast<double>(d));
+  s.push_back(static_cast<double>(list_id));
 }
 
-/// Everything transfer_bytes() reads from an Edge (endpoints excluded: the
-/// cost depends only on the tensor and its dim maps, not on which node ids
-/// carry it).
-void edge_signature(const Edge& e, std::vector<double>& s) {
+/// Everything transfer_bytes() reads from an Edge, then the classes of its
+/// source and destination: the cost depends only on the tensor and its dim
+/// maps, not on which node ids carry it, but an edge's prices range over
+/// its endpoints' configuration lists.
+void edge_signature(const Edge& e, u32 src_class, u32 dst_class,
+                    std::vector<double>& s) {
   s.clear();
   s.push_back(static_cast<double>(e.shape.size()));
   for (i64 x : e.shape) s.push_back(static_cast<double>(x));
   for (i32 x : e.src_dims) s.push_back(static_cast<double>(x));
   for (i32 x : e.dst_dims) s.push_back(static_cast<double>(x));
+  s.push_back(static_cast<double>(src_class));
+  s.push_back(static_cast<double>(dst_class));
 }
 
 /// The class id of `signature` in `ids`, a new one (the next integer) if
@@ -60,12 +66,12 @@ u32 class_of(std::map<std::vector<double>, u32>& ids,
 
 }  // namespace
 
-LayerClasses::LayerClasses(const Graph& graph) {
+LayerClasses::LayerClasses(const Graph& graph, const ConfigCache& configs) {
   std::vector<double> signature;  // reused: one buffer for every lookup
   std::map<std::vector<double>, u32> node_ids;
   node_class_.reserve(static_cast<size_t>(graph.num_nodes()));
   for (const Node& n : graph.nodes()) {
-    node_signature(n, signature);
+    node_signature(n, configs.list_id(n.id), signature);
     node_class_.push_back(class_of(node_ids, signature));
   }
   num_node_classes_ = static_cast<i64>(node_ids.size());
@@ -73,7 +79,7 @@ LayerClasses::LayerClasses(const Graph& graph) {
   std::map<std::vector<double>, u32> edge_ids;
   edge_class_.reserve(static_cast<size_t>(graph.num_edges()));
   for (const Edge& e : graph.edges()) {
-    edge_signature(e, signature);
+    edge_signature(e, node_class(e.src), node_class(e.dst), signature);
     edge_class_.push_back(class_of(edge_ids, signature));
   }
   num_edge_classes_ = static_cast<i64>(edge_ids.size());

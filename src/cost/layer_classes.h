@@ -6,18 +6,24 @@
 // tell. LayerClasses groups nodes (and edges) into classes at construction
 // by comparing every field the cost model reads (iteration space extents,
 // FLOP density, parameter tensors, reduction dims, halos, output spec; edge
-// tensor shape and dim maps). Class construction is exact (full structural
-// comparison, no hashing shortcut), so two same-class nodes have the same
-// t_l for every configuration, and two same-class edges the same t_x for
-// every pair of endpoint configurations.
+// tensor shape and dim maps) plus the configuration lists prices range over
+// (a node's ConfigCache list id; an edge's two endpoint node classes).
+// Class construction is exact (full structural comparison, no hashing
+// shortcut), so two same-class nodes have the same configuration list and
+// the same t_l for every configuration in it, and two same-class edges the
+// same endpoint lists and the same t_x for every pair of endpoint
+// configurations. A class id alone therefore decides whether a price can
+// be reused.
 //
-// The DP solver keys its per-class t_l vectors and t_x matrices by these
-// ids (core/dp_solver.cc), so a model that repeats a layer prices it once.
-// Immutable after construction; safe to share across threads.
+// The DP solver indexes its t_l vectors by node class and its t_x tables
+// by oriented edge class (core/dp_solver.cc), so a model that repeats a
+// layer prices it once. Immutable after construction; safe to share across
+// threads.
 #pragma once
 
 #include <vector>
 
+#include "config/config_enum.h"
 #include "graph/graph.h"
 #include "util/types.h"
 
@@ -25,10 +31,11 @@ namespace pase {
 
 class LayerClasses {
  public:
-  explicit LayerClasses(const Graph& graph);
+  LayerClasses(const Graph& graph, const ConfigCache& configs);
 
-  /// Structural class ids (nodes with equal ids have identical cost
-  /// behaviour for every configuration; likewise edges).
+  /// Structural class ids: nodes with equal ids have equal configuration
+  /// lists and identical cost behaviour for every configuration; likewise
+  /// edges, over both endpoints' lists.
   u32 node_class(NodeId v) const {
     return node_class_[static_cast<size_t>(v)];
   }

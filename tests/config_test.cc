@@ -170,5 +170,60 @@ TEST(ConfigCache, PaperReportedKRangeForInception) {
   EXPECT_LE(k64, 120);
 }
 
+/// Checks ConfigCache against the per-node path: at(v) equals
+/// enumerate_node_configs for every node, two nodes share a list id iff
+/// their lists are equal, and equal ids hand out the same storage.
+void expect_one_stored_list_per_distinct_list(const Graph& g,
+                                              const ConfigOptions& opts) {
+  const ConfigCache cache(g, opts);
+  ASSERT_EQ(cache.num_nodes(), g.num_nodes());
+  std::set<u32> ids;
+  for (const Node& n : g.nodes()) {
+    ASSERT_EQ(cache.at(n.id), enumerate_node_configs(n, opts)) << n.name;
+    ids.insert(cache.list_id(n.id));
+  }
+  EXPECT_EQ(static_cast<i64>(ids.size()), cache.num_lists());
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (NodeId v = u + 1; v < g.num_nodes(); ++v) {
+      const bool equal = cache.at(u) == cache.at(v);
+      ASSERT_EQ(cache.list_id(u) == cache.list_id(v), equal)
+          << g.node(u).name << " vs " << g.node(v).name;
+      if (equal) {
+        ASSERT_EQ(&cache.at(u), &cache.at(v));
+      }
+    }
+}
+
+TEST(ConfigCache, EqualListsShareOneStoredList) {
+  {
+    SCOPED_TRACE("inception_v3, all split dims, p = 32");
+    ConfigOptions opts;
+    opts.max_devices = 32;
+    opts.split_dims = *parse_split_dims("all");
+    expect_one_stored_list_per_distinct_list(models::inception_v3(), opts);
+  }
+  {
+    SCOPED_TRACE("transformer_stack_100, p = 8");
+    const Graph g = models::transformer_stack(100);
+    ConfigOptions opts;
+    opts.max_devices = 8;
+    expect_one_stored_list_per_distinct_list(g, opts);
+    // 604 nodes, three distinct lists.
+    EXPECT_EQ(ConfigCache(g, opts).num_lists(), 3);
+  }
+  {
+    // The filter narrows FC3 alone, so its list is stored apart from the
+    // lists of FC2 and FC4, which it would otherwise share.
+    SCOPED_TRACE("mlp, FC3 narrowed, p = 4");
+    ConfigOptions opts;
+    opts.max_devices = 4;
+    opts.filter = [](const Node& n, const Config& c) {
+      return n.name != "FC3" || c.degree() < 4;
+    };
+    expect_one_stored_list_per_distinct_list(
+        models::mlp(16, {32, 64, 64, 64, 64}), opts);
+  }
+}
+
 }  // namespace
 }  // namespace pase

@@ -14,11 +14,17 @@ namespace {
 
 // ---- Structural equivalence classes.
 
+LayerClasses classes_at_p8(const Graph& g) {
+  ConfigOptions opts;
+  opts.max_devices = 8;
+  return LayerClasses(g, ConfigCache(g, opts));
+}
+
 TEST(LayerClasses, IdenticalLayersShareAClass) {
   // mlp(16, {64, 64, 64}) stacks FC layers with identical shapes; the
   // repeated middle layers must collapse into one class.
   const Graph g = models::mlp(16, {64, 64, 64, 64});
-  const LayerClasses classes(g);
+  const LayerClasses classes = classes_at_p8(g);
   EXPECT_LT(classes.num_node_classes(), g.num_nodes());
   EXPECT_LT(classes.num_edge_classes(), g.num_edges());
 }
@@ -27,7 +33,7 @@ TEST(LayerClasses, TransformerLayerStackSharesClasses) {
   // 6 structurally identical encoder and decoder layers: class count must
   // be far below the node count.
   const Graph g = models::transformer();
-  const LayerClasses classes(g);
+  const LayerClasses classes = classes_at_p8(g);
   EXPECT_LT(classes.num_node_classes(), g.num_nodes() / 2);
 }
 
@@ -38,9 +44,42 @@ TEST(LayerClasses, DistinctLayersGetDistinctClasses) {
   const NodeId c = g.add_node(ops::fully_connected("C", 64, 4096, 1024));
   g.add_edge_named(a, b, {"b", "n"}, {"b", "c"});
   g.add_edge_named(b, c, {"b", "n"}, {"b", "c"});
-  const LayerClasses classes(g);
+  const LayerClasses classes = classes_at_p8(g);
   EXPECT_NE(classes.node_class(a), classes.node_class(b));
   EXPECT_EQ(classes.node_class(a), classes.node_class(c));  // A and C identical
+}
+
+TEST(LayerClasses, NarrowedListGetsAClassOfItsOwn) {
+  // FC2..FC4 are structurally identical. A filter that narrows FC3's list
+  // alone splits FC3 off, and with it the edges FC3 touches, so a class id
+  // alone tells whether two prices range over the same lists.
+  const Graph g = models::mlp(16, {32, 64, 64, 64, 64});
+  auto node = [&](const std::string& name) {
+    for (const Node& n : g.nodes())
+      if (n.name == name) return n.id;
+    return kInvalidNode;
+  };
+  auto edge = [&](NodeId src, NodeId dst) {
+    for (EdgeId e = 0; e < g.num_edges(); ++e)
+      if (g.edge(e).src == src && g.edge(e).dst == dst) return e;
+    return EdgeId{-1};
+  };
+  const NodeId fc2 = node("FC2"), fc3 = node("FC3"), fc4 = node("FC4");
+  ConfigOptions opts;
+  opts.max_devices = 4;
+  const LayerClasses wide(g, ConfigCache(g, opts));
+  EXPECT_EQ(wide.node_class(fc2), wide.node_class(fc3));
+  EXPECT_EQ(wide.node_class(fc3), wide.node_class(fc4));
+  EXPECT_EQ(wide.edge_class(edge(fc2, fc3)), wide.edge_class(edge(fc3, fc4)));
+
+  opts.filter = [](const Node& n, const Config& c) {
+    return n.name != "FC3" || c.degree() < 4;
+  };
+  const LayerClasses narrowed(g, ConfigCache(g, opts));
+  EXPECT_NE(narrowed.node_class(fc2), narrowed.node_class(fc3));
+  EXPECT_EQ(narrowed.node_class(fc2), narrowed.node_class(fc4));
+  EXPECT_NE(narrowed.edge_class(edge(fc2, fc3)),
+            narrowed.edge_class(edge(fc3, fc4)));
 }
 
 // ---- End-to-end: class-shared prices are invisible in DP results.
@@ -48,8 +87,8 @@ TEST(LayerClasses, DistinctLayersGetDistinctClasses) {
 TEST(LayerClasses, SharedPricesMatchBruteForce) {
   // FC2..FC4 share one class, so the DP reuses their t_l vectors and
   // t_x matrices. A filter that admits fewer configurations for FC3 alone
-  // makes the configuration-list check refuse the shared entries for it.
-  // Either way the DP must agree with exhaustive search.
+  // gives FC3 a list, and so a class, of its own. Either way the DP must
+  // agree with exhaustive search.
   const Graph g = models::mlp(16, {32, 64, 64, 64, 64});
   for (const bool narrowed : {false, true}) {
     DpOptions o;
@@ -66,6 +105,12 @@ TEST(LayerClasses, SharedPricesMatchBruteForce) {
     if (!narrowed) {
       EXPECT_GT(reg.counter("dp.class_memo.node_hits"), 0u);
       EXPECT_GT(reg.counter("dp.class_memo.edge_hits"), 0u);
+    } else {
+      // Only FC4 reuses FC2's t_l; FC3 and every edge are priced apart.
+      // (Sharing FC2's prices with FC3 happens to leave this optimum
+      // unchanged, so the cost checks below alone would not notice.)
+      EXPECT_EQ(reg.counter("dp.class_memo.node_hits"), 1u);
+      EXPECT_EQ(reg.counter("dp.class_memo.edge_hits"), 0u);
     }
 
     const auto bf = brute_force_search(g, o.config_options, o.cost_params);
@@ -76,6 +121,40 @@ TEST(LayerClasses, SharedPricesMatchBruteForce) {
     EXPECT_NEAR(cm.total_cost(dp.strategy), dp.best_cost,
                 1e-9 * dp.best_cost)
         << "narrowed=" << narrowed;
+  }
+}
+
+// ---- Exact sharing counts.
+
+TEST(LayerClasses, SharedPriceCountsAreExact) {
+  // How many t_l vectors and t_x tables the solver reuses instead of
+  // pricing, and how many combinations it reduces, pinned at 1 and 4
+  // threads: a pricer that shared less would re-price, one that shared more
+  // would reuse a price across classes. The counts depend on the graph and
+  // its configuration lists, not on the machine or the comm model.
+  struct Case {
+    const char* model;
+    i64 p;
+    u64 node_hits, edge_hits, combinations;
+  };
+  for (const Case& c : {Case{"transformer_stack_1000", 8, 5997, 7992, 6291510},
+                        Case{"inception_v3", 64, 137, 133, 10262069},
+                        Case{"transformer", 64, 87, 111, 9313276}}) {
+    const Graph g = *models::zoo_graph(c.model);
+    for (const i64 threads : {1, 4}) {
+      SCOPED_TRACE(std::string(c.model) + " at p = " + std::to_string(c.p) +
+                   ", " + std::to_string(threads) + " threads");
+      DpOptions o;
+      o.config_options.max_devices = c.p;
+      o.cost_params = CostParams::for_machine(MachineSpec::gtx1080ti(c.p));
+      o.num_threads = threads;
+      MetricsRegistry reg;
+      o.metrics = &reg;
+      ASSERT_EQ(find_best_strategy(g, o).status, DpStatus::kOk);
+      EXPECT_EQ(reg.counter("dp.class_memo.node_hits"), c.node_hits);
+      EXPECT_EQ(reg.counter("dp.class_memo.edge_hits"), c.edge_hits);
+      EXPECT_EQ(reg.counter("dp.combinations"), c.combinations);
+    }
   }
 }
 

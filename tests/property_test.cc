@@ -48,7 +48,9 @@ TEST_P(TransferPropertySweep, NonNegativeAndZeroForIdenticalConfigs) {
         const i64 b = e.dst_dims[t] >= 0 ? cv[e.dst_dims[t]] : 1;
         aligned = a == b;
       }
-      if (aligned) EXPECT_DOUBLE_EQ(bytes, 0.0);
+      if (aligned) {
+        EXPECT_DOUBLE_EQ(bytes, 0.0);
+      }
     }
   }
 }
@@ -326,8 +328,9 @@ TEST(DpSolverSplitDims, WidenedSpaceNeverWorseOnZoo) {
         << name;
     // The superset argument only binds exact optima; beam-degraded solves
     // (densenet) are excluded from the bound.
-    if (legacy.status == DpStatus::kOk && widened.status == DpStatus::kOk)
+    if (legacy.status == DpStatus::kOk && widened.status == DpStatus::kOk) {
       EXPECT_LE(widened.best_cost, legacy.best_cost * (1 + 1e-12)) << name;
+    }
   }
 }
 

@@ -150,9 +150,11 @@ TEST(Zoo, GnmtEncoderDecoderSplitLayerDim) {
   ASSERT_EQ(r.status, DpStatus::kOk);
   // The two LSTM stacks keep the pipeline-friendly layer split available;
   // whichever configuration wins must parallelize beyond pure batch.
-  for (const Node& n : g.nodes())
-    if (n.kind == OpKind::kLSTM)
+  for (const Node& n : g.nodes()) {
+    if (n.kind == OpKind::kLSTM) {
       EXPECT_GT(r.strategy[static_cast<size_t>(n.id)].degree(), 1) << n.name;
+    }
+  }
 }
 
 }  // namespace
