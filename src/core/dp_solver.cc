@@ -110,28 +110,32 @@ struct VertexPrices {
 class VertexPricer {
  public:
   /// r * t_x of one oriented edge class over C(w) x C(v^(i)), w being the
-  /// other endpoint. Allocated uninitialized: row cw holds prices once
-  /// priced[cw] is set, and a row nobody asks for costs nothing.
+  /// other endpoint. Both sides' TransferFactors are built when the table is
+  /// allocated; its prices are allocated uninitialized, and row cw is
+  /// priced — one transfer_cost_row sweep over C(v^(i)) — once priced[cw] is
+  /// set, so a row nobody asks for costs nothing.
   struct EdgeTable {
-    EdgeId edge = -1;  ///< the edge it was first asked for
     bool vi_is_src = false;
+    TransferFactors w;                 ///< of C(w)
+    TransferFactors vi;                ///< of C(v^(i))
     std::unique_ptr<double[]> prices;  ///< [cw * |C(v^(i))| + ci]
     std::vector<bool> priced;          ///< by cw
   };
 
   VertexPricer(const Graph& graph, const Ordering& order,
-               const ConfigCache& configs, const CostModel& cost)
+               const ConfigCache& configs, const LayerClasses& classes,
+               const CostModel& cost)
       : graph_(graph),
         order_(order),
         configs_(configs),
+        classes_(classes),
         cost_(cost),
-        classes_(graph, configs),
-        layers_(static_cast<size_t>(classes_.num_node_classes())),
-        tables_(2 * static_cast<size_t>(classes_.num_edge_classes())) {}
+        layers_(static_cast<size_t>(classes.num_node_classes())),
+        tables_(2 * static_cast<size_t>(classes.num_edge_classes())) {}
 
-  /// t_l(v, C) for every C in C(v), into `out`. `poll` is called every 256
-  /// cost evaluations and returns kNone to continue; any other cause stops
-  /// the pricing and is returned.
+  /// t_l(v, C) for every C in C(v), into `out`. `poll` is called each time
+  /// the count of priced entries crosses a multiple of 256 and returns
+  /// kNone to continue; any other cause stops the pricing and is returned.
   template <class Poll>
   DpResult::TripCause layer(NodeId v, const double*& out, Poll&& poll) {
     std::vector<double>& prices = layers_[classes_.node_class(v)];
@@ -141,7 +145,7 @@ class VertexPricer {
       const auto& v_configs = configs_.at(v);
       prices.resize(v_configs.size());
       for (size_t c = 0; c < v_configs.size(); ++c) {
-        if (const auto cause = tick(poll);
+        if (const auto cause = tick(poll, 1);
             cause != DpResult::TripCause::kNone) {
           prices.clear();  // empty = not priced
           return cause;
@@ -162,31 +166,27 @@ class VertexPricer {
     if (t.prices) {
       ++edge_hits_;
     } else {
-      const size_t kw = configs_.at(e.src == vi ? e.dst : e.src).size();
-      t.edge = eid;
+      const NodeId w = e.src == vi ? e.dst : e.src;
       t.vi_is_src = e.src == vi;
-      t.prices = std::make_unique_for_overwrite<double[]>(
-          kw * configs_.at(vi).size());
-      t.priced.assign(kw, false);
+      t.w = TransferFactors(e, !t.vi_is_src, configs_.at(w), cost_.params());
+      t.vi = TransferFactors(e, t.vi_is_src, configs_.at(vi), cost_.params());
+      t.prices = std::make_unique_for_overwrite<double[]>(t.w.count *
+                                                          t.vi.count);
+      t.priced.assign(t.w.count, false);
     }
     return t;
   }
 
   /// Prices row cw of `t` unless it is priced already; `poll` as in
-  /// layer().
+  /// layer(), counting the row's |C(v^(i))| entries before it is priced.
   template <class Poll>
   DpResult::TripCause price_row(EdgeTable& t, u32 cw, Poll&& poll) {
     if (t.priced[cw]) return DpResult::TripCause::kNone;
-    const Edge& e = graph_.edge(t.edge);
-    const auto& vi_configs = configs_.at(t.vi_is_src ? e.src : e.dst);
-    const Config& cw_config = configs_.at(t.vi_is_src ? e.dst : e.src)[cw];
-    double* const row = t.prices.get() + size_t{cw} * vi_configs.size();
-    for (size_t ci = 0; ci < vi_configs.size(); ++ci) {
-      if (const auto cause = tick(poll); cause != DpResult::TripCause::kNone)
-        return cause;
-      row[ci] = t.vi_is_src ? cost_.edge_cost(e, vi_configs[ci], cw_config)
-                            : cost_.edge_cost(e, cw_config, vi_configs[ci]);
-    }
+    if (const auto cause = tick(poll, t.vi.count);
+        cause != DpResult::TripCause::kNone)
+      return cause;
+    transfer_cost_row(t.w, cw, t.vi, t.vi_is_src, cost_.params(),
+                      t.prices.get() + size_t{cw} * t.vi.count);
     t.priced[cw] = true;
     return DpResult::TripCause::kNone;
   }
@@ -219,17 +219,21 @@ class VertexPricer {
   u64 edge_hits() const { return edge_hits_; }
 
  private:
-  /// Calls `poll` on every 256th cost evaluation.
+  /// Counts `entries` more priced entries and calls `poll` when the count
+  /// crosses a multiple of 256.
   template <class Poll>
-  DpResult::TripCause tick(Poll& poll) {
-    return (++ticks_ & 255u) == 0 ? poll() : DpResult::TripCause::kNone;
+  DpResult::TripCause tick(Poll& poll, u64 entries) {
+    const u64 before = ticks_;
+    ticks_ += entries;
+    return (before >> 8) != (ticks_ >> 8) ? poll()
+                                          : DpResult::TripCause::kNone;
   }
 
   const Graph& graph_;
   const Ordering& order_;
   const ConfigCache& configs_;
+  const LayerClasses& classes_;
   const CostModel& cost_;
-  const LayerClasses classes_;
   /// t_l by node class; empty until priced.
   std::vector<std::vector<double>> layers_;
   /// r * t_x by 2 x edge class + (v^(i) is the source).
@@ -467,8 +471,22 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     configs_storage.emplace(graph, options.config_options);
   }
   const ConfigCache& configs = *configs_storage;
+  std::optional<LayerClasses> classes_storage;
+  {
+    PhaseScope phase(trace, metrics, "classes", "dp.phase.classes_seconds");
+    classes_storage.emplace(graph, configs);
+  }
   const CostModel cost(graph, options.cost_params);
-  VertexPricer pricer(graph, order, configs, cost);
+  VertexPricer pricer(graph, order, configs, *classes_storage, cost);
+
+  // Per-vertex metrics are summed here and written once, by record_metrics:
+  // a registry call takes a lock and a name lookup, which per vertex would
+  // cost more than a small vertex's whole fill.
+  PhaseGauge fill_gauge(metrics, "dp.phase.table_fill_seconds");
+  PhaseGauge pricing_gauge(metrics, "dp.phase.pricing_seconds");
+  PhaseGauge reduce_gauge(metrics, "dp.phase.reduce_seconds");
+  MetricsRegistry::Histogram substrategies_per_vertex;
+  u64 combinations = 0;
 
   // Final metrics flush, shared by every exit path. Counters/histograms
   // recorded here are structural — pure functions of (graph, options minus
@@ -477,6 +495,20 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   auto record_metrics = [&] {
     if (!metrics) return;
     metrics->add_counter("dp.solves", 1);
+    fill_gauge.flush();
+    pricing_gauge.flush();
+    reduce_gauge.flush();
+    MetricsRegistry::Histogram dep_set_sizes;
+    for (const i64 size : result.dependent_set_sizes)
+      dep_set_sizes.record(size);
+    metrics->add_histogram("dp.dep_set_size", dep_set_sizes);
+    metrics->add_histogram("dp.substrategies_per_vertex",
+                           substrategies_per_vertex);
+    if (substrategies_per_vertex.count > 0) {
+      metrics->add_counter("dp.substrategies",
+                           static_cast<u64>(substrategies_per_vertex.sum));
+      metrics->add_counter("dp.combinations", combinations);
+    }
     if (pricer.node_hits() > 0)
       metrics->add_counter("dp.class_memo.node_hits", pricer.node_hits());
     if (pricer.edge_hits() > 0)
@@ -581,12 +613,8 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         static_cast<i64>(st.dependent.size()));
     result.max_dependent_set = std::max(
         result.max_dependent_set, static_cast<i64>(st.dependent.size()));
-    if (metrics)
-      metrics->record("dp.dep_set_size",
-                      static_cast<i64>(st.dependent.size()));
 
-    PhaseScope fill_phase(trace, metrics, "table_fill",
-                          "dp.phase.table_fill_seconds");
+    PhaseScope fill_phase(trace, fill_gauge, "table_fill");
     fill_phase.arg("vertex", i);
     fill_phase.arg("dep_set", static_cast<i64>(st.dependent.size()));
 
@@ -627,21 +655,17 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     fill_phase.arg("substrategies", static_cast<i64>(prod));
     fill_phase.arg("configs", static_cast<i64>(vi_configs.size()));
     fill_phase.arg("work", static_cast<i64>(work));
-    if (metrics) {
-      metrics->add_counter("dp.substrategies", prod);
-      metrics->add_counter("dp.combinations", static_cast<u64>(work));
-      metrics->record("dp.substrategies_per_vertex", static_cast<i64>(prod));
-    }
+    substrategies_per_vertex.record(static_cast<i64>(prod));
+    combinations += static_cast<u64>(work);
 
     // Pricing can dominate wall time on a single-large-vertex model — it
-    // makes |C(v^(i))| + sum_w |C(v^(i))| x |C(w)| cost-model calls before
-    // the reduce starts — so it carries its own amortized abort check
-    // (every 256 cost calls; a steady_clock read amortized over 256 cost
-    // evaluations is noise).
+    // prices |C(v^(i))| + sum_w |C(v^(i))| x |C(w)| entries before the
+    // reduce starts — so it carries its own amortized abort check (each
+    // time the priced entries cross a multiple of 256; a steady_clock read
+    // amortized over that many entries is noise).
     DpResult::TripCause price_cause;
     {
-      PhaseScope pricing(trace, metrics, "pricing",
-                         "dp.phase.pricing_seconds");
+      PhaseScope pricing(trace, pricing_gauge, "pricing");
       price_cause = pricer.price(i, prices, abort_cause);
     }
     if (price_cause != DpResult::TripCause::kNone) {
@@ -756,7 +780,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     };
 
     {
-      PhaseScope reduce(trace, metrics, "reduce", "dp.phase.reduce_seconds");
+      PhaseScope reduce(trace, reduce_gauge, "reduce");
       if (pool && prod > 1 &&
           static_cast<u64>(work) >= kParallelWorkThreshold) {
         // Chunk the phi range by index only — the decomposition (and hence

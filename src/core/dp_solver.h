@@ -14,8 +14,13 @@
 //   pricing  the H terms — the t_l vector of v^(i) and the t_x table of
 //            each later edge — priced once per structural class of layer
 //            and oriented edge (LayerClasses, whose classes fix the
-//            configuration lists too) and kept in stores indexed by class
-//            id alone, which the beam fallback reads as well;
+//            configuration lists too; an edge is keyed on its tensor, its
+//            dim maps and its endpoints' list ids) and kept in stores
+//            indexed by class id alone, which the beam fallback reads as
+//            well. A t_x table is priced a row at a time: each side's
+//            per-configuration factors are built once, when the table is
+//            allocated, and a row is one transfer_cost_row sweep over
+//            C(v^(i)) (cost/cost_model.h);
 //   reduce   a min-plus kernel that, for one phi at a time, adds those
 //            prices and the anchors' R values into a |C(v^(i))| array and
 //            keeps its first strict minimum.
@@ -78,9 +83,10 @@ struct DpOptions {
 
   /// Wall-clock budget for the exact DP; 0 = unlimited. Expiry is treated
   /// like a tripped guard (fallback or kOutOfMemory). Checked between
-  /// vertices, inside pricing (every 256 cost evaluations), and (amortized,
-  /// every few thousand combinations) inside the reduce, so even a
-  /// single-large-vertex model honors a tight budget promptly.
+  /// vertices, inside pricing (before each t_x row, or t_l entry, that
+  /// takes the count of priced entries past a multiple of 256), and
+  /// (amortized, every few thousand combinations) inside the reduce, so
+  /// even a single-large-vertex model honors a tight budget promptly.
   double deadline_seconds = 0.0;
   /// Optional external cancellation token (e.g. a serving watchdog). When
   /// non-null and set, the solve aborts at the next cancellation point and
@@ -108,9 +114,10 @@ struct DpOptions {
 
   /// Optional observability sinks (src/obs); either or both may be null.
   /// `trace` records phase and per-vertex spans (ordering, configs,
-  /// dep_sets, table_fill with its nested pricing and reduce,
+  /// classes, dep_sets, table_fill with its nested pricing and reduce,
   /// back_substitution, worker task spans); `metrics` collects
-  /// dp.* counters/histograms/gauges. Attaching them never changes results,
+  /// dp.* counters/histograms/gauges, the per-vertex ones summed over the
+  /// solve and written once at its end. Attaching them never changes results,
   /// and every structural metric recorded is bit-identical across thread
   /// counts (see src/obs/metrics.h and DESIGN.md §9). Both must outlive the
   /// solve.

@@ -21,14 +21,14 @@ double split_product(const Config& c, const std::vector<i32>& dims) {
   return prod;
 }
 
-}  // namespace
-
-std::vector<CollectiveComm> layer_collectives(const Node& node,
-                                              const Config& config,
-                                              const CostParams& params) {
+/// Calls visit(const CollectiveComm&) for every internal communication of
+/// t_l(v, C), in the order layer_collectives lists them, so layer_cost can
+/// sum them without building the list.
+template <class Visit>
+void for_each_collective(const Node& node, const Config& config,
+                         const CostParams& params, Visit&& visit) {
   PASE_CHECK(config.rank() == node.space.rank());
   const double degree = static_cast<double>(config.degree());
-  std::vector<CollectiveComm> out;
 
   // (a) Partial-sum all-reduce when reduction dims are split: each device
   // holds a shard of the (reduction) output and reduces it across the
@@ -38,7 +38,7 @@ std::vector<CollectiveComm> layer_collectives(const Node& node,
     const double out_shard_bytes = static_cast<double>(node.output.volume) /
                                    split_product(config, node.output.dims) *
                                    params.bytes_per_element;
-    out.push_back(CollectiveComm{
+    visit(CollectiveComm{
         CollectiveComm::Kind::kReduceAllReduce,
         params.fwd_bwd_comm_multiplier *
             ring_all_reduce_bytes(out_shard_bytes,
@@ -57,9 +57,9 @@ std::vector<CollectiveComm> layer_collectives(const Node& node,
     if (group > 1) {
       const double shard_bytes =
           static_cast<double>(p.volume) / owners * params.bytes_per_element;
-      out.push_back(CollectiveComm{
-          CollectiveComm::Kind::kGradientAllReduce,
-          ring_all_reduce_bytes(shard_bytes, group), group, shard_bytes});
+      visit(CollectiveComm{CollectiveComm::Kind::kGradientAllReduce,
+                           ring_all_reduce_bytes(shard_bytes, group), group,
+                           shard_bytes});
     }
   }
 
@@ -73,12 +73,56 @@ std::vector<CollectiveComm> layer_collectives(const Node& node,
                    static_cast<double>(node.space.dim(h.dim).size);
     for (i32 d : node.output.dims)
       if (d != h.dim) plane /= static_cast<double>(config[d]);
-    out.push_back(CollectiveComm{
+    visit(CollectiveComm{
         CollectiveComm::Kind::kHaloExchange,
         params.fwd_bwd_comm_multiplier * 2.0 *
             static_cast<double>(h.width) * plane * params.bytes_per_element,
         config[h.dim], 0.0});
   }
+}
+
+/// Gradient all-reduces overlap backward compute (CostParams::
+/// gradient_comm_discount); every other collective counts in full.
+double collective_weight(const CollectiveComm& c, const CostParams& params) {
+  return c.kind == CollectiveComm::Kind::kGradientAllReduce
+             ? params.gradient_comm_discount
+             : 1.0;
+}
+
+/// One side's t_x quotient for a tensor dim of `extent` that this side maps
+/// to iteration dim `dim` (-1 = unmapped): the per-device extent. Split
+/// factors are clamped by the extent (slices of a larger iteration dim can
+/// be narrower than the dim itself).
+double transfer_quotient(double extent, i32 dim, const Config& config) {
+  return dim >= 0
+             ? extent / std::min(static_cast<double>(config[dim]), extent)
+             : extent;
+}
+
+/// t_x in bytes from both sides' factors and their overlap. The overlap only
+/// exists on devices the producing side actually used: if the receiving
+/// side runs on more devices than the producing side, the devices beyond
+/// the producer's prefix hold nothing, and the max over devices in the
+/// paper's t_x definition is the full need.
+double transfer_select(double need_u, double deg_u, double need_v,
+                       double deg_v, double overlap,
+                       double bytes_per_element) {
+  // Forward: the activation flows u -> v; backward: its gradient v -> u.
+  const double fwd =
+      deg_v > deg_u ? need_v : std::max(0.0, need_v - overlap);
+  const double bwd =
+      deg_u > deg_v ? need_u : std::max(0.0, need_u - overlap);
+  return (fwd + bwd) * bytes_per_element;
+}
+
+}  // namespace
+
+std::vector<CollectiveComm> layer_collectives(const Node& node,
+                                              const Config& config,
+                                              const CostParams& params) {
+  std::vector<CollectiveComm> out;
+  for_each_collective(node, config, params,
+                      [&](const CollectiveComm& c) { out.push_back(c); });
   return out;
 }
 
@@ -96,88 +140,115 @@ double layer_flops(const Node& node, const Config& config,
 
 double layer_cost(const Node& node, const Config& config,
                   const CostParams& params) {
+  // Each mode sums its collectives in layer_collectives' order.
+  double comm = 0.0;
   if (params.comm) {
     // Comm-model pricing: all-reduces priced by the attached algorithm
     // library on the logical tensor shard (volume_bytes), halo exchanges by
     // the neighbor-exchange primitive (two message latencies + plane bytes
     // on the split group's link class); seconds are rescaled to
     // FLOP-equivalents so the total stays on Eq. (1)'s scale.
-    double comm_flops = 0.0;
-    for (const CollectiveComm& c : layer_collectives(node, config, params)) {
-      const double weight =
-          c.kind == CollectiveComm::Kind::kGradientAllReduce
-              ? params.gradient_comm_discount
-              : 1.0;
+    for_each_collective(node, config, params, [&](const CollectiveComm& c) {
       const double seconds =
           c.kind == CollectiveComm::Kind::kHaloExchange
               ? params.comm->halo_exchange_time(c.bytes, c.group)
               : params.comm->collective_time(Collective::kAllReduce,
                                              c.volume_bytes, c.group);
-      comm_flops += weight * seconds * params.seconds_to_flops;
-    }
-    return layer_flops(node, config, params) + comm_flops;
+      comm += collective_weight(c, params) * seconds * params.seconds_to_flops;
+    });
+    return layer_flops(node, config, params) + comm;
   }
   if (params.heterogeneity_aware()) {
     // Placement-aware pricing: each collective pays the bottleneck link of
     // its own placed group instead of the machine-wide weakest-link r.
-    double comm_flops = 0.0;
-    for (const CollectiveComm& c : layer_collectives(node, config, params)) {
-      const double weight =
-          c.kind == CollectiveComm::Kind::kGradientAllReduce
-              ? params.gradient_comm_discount
-              : 1.0;
-      comm_flops += weight * params.group_r(c.group) * c.bytes;
-    }
-    return layer_flops(node, config, params) + comm_flops;
+    for_each_collective(node, config, params, [&](const CollectiveComm& c) {
+      comm += collective_weight(c, params) * params.group_r(c.group) * c.bytes;
+    });
+    return layer_flops(node, config, params) + comm;
   }
-  double comm_bytes = 0.0;
-  for (const CollectiveComm& c : layer_collectives(node, config, params)) {
-    const double weight =
-        c.kind == CollectiveComm::Kind::kGradientAllReduce
-            ? params.gradient_comm_discount
-            : 1.0;
-    comm_bytes += weight * c.bytes;
-  }
-  return layer_flops(node, config, params) + params.r * comm_bytes;
+  for_each_collective(node, config, params, [&](const CollectiveComm& c) {
+    comm += collective_weight(c, params) * c.bytes;
+  });
+  return layer_flops(node, config, params) + params.r * comm;
 }
 
 double transfer_bytes(const Edge& edge, const Config& src_config,
                       const Config& dst_config, const CostParams& params) {
   // Per-device need volume |A(.,d)| on each side and held-overlap volume
   // |A(v,d) n A(u,d)| under uniform block partitions with hierarchically
-  // aligned (greedy prefix) placement:
-  //   need_u  = vol / prod_t cu_t     (consumer role in the backward pass)
-  //   need_v  = vol / prod_t cv_t     (consumer role in the forward pass)
-  //   overlap = vol / prod_t max(cu_t, cv_t)
-  // The overlap only exists on devices the producing side actually used: if
-  // the receiving side runs on more devices than the producing side, the
-  // devices beyond the producer's prefix hold nothing, and the max over
-  // devices in the paper's t_x definition is the full need.
+  // aligned (greedy prefix) placement, from each side's quotients q_t:
+  //   need_u  = prod_t qu_t            (consumer role in the backward pass)
+  //   need_v  = prod_t qv_t            (consumer role in the forward pass)
+  //   overlap = prod_t min(qu_t, qv_t)
+  // TransferFactors and transfer_cost_row compute the same products.
   double need_u = 1.0;
   double need_v = 1.0;
   double overlap = 1.0;
   for (size_t t = 0; t < edge.shape.size(); ++t) {
     const double extent = static_cast<double>(edge.shape[t]);
-    const i32 sd = edge.src_dims[t];
-    const i32 dd = edge.dst_dims[t];
-    // Clamp split factors by the tensor extent along this dim (slices of a
-    // larger iteration dim can be narrower than the dim itself).
-    const double cu =
-        sd >= 0 ? std::min(static_cast<double>(src_config[sd]), extent) : 1.0;
-    const double cv =
-        dd >= 0 ? std::min(static_cast<double>(dst_config[dd]), extent) : 1.0;
-    need_u *= extent / cu;
-    need_v *= extent / cv;
-    overlap *= extent / std::max(cu, cv);
+    const double qu = transfer_quotient(extent, edge.src_dims[t], src_config);
+    const double qv = transfer_quotient(extent, edge.dst_dims[t], dst_config);
+    need_u *= qu;
+    need_v *= qv;
+    overlap *= std::min(qu, qv);
   }
-  const i64 deg_u = src_config.degree();
-  const i64 deg_v = dst_config.degree();
-  // Forward: the activation flows u -> v; backward: its gradient v -> u.
-  const double fwd =
-      deg_v > deg_u ? need_v : std::max(0.0, need_v - overlap);
-  const double bwd =
-      deg_u > deg_v ? need_u : std::max(0.0, need_u - overlap);
-  return (fwd + bwd) * params.bytes_per_element;
+  return transfer_select(need_u, static_cast<double>(src_config.degree()),
+                         need_v, static_cast<double>(dst_config.degree()),
+                         overlap, params.bytes_per_element);
+}
+
+TransferFactors::TransferFactors(const Edge& edge, bool src_side,
+                                 const std::vector<Config>& configs,
+                                 const CostParams& params)
+    : count(configs.size()),
+      dims(edge.shape.size()),
+      quotient(dims * count),
+      need(count, 1.0),
+      degree(count),
+      ratio(count) {
+  const std::vector<i32>& map = src_side ? edge.src_dims : edge.dst_dims;
+  for (size_t t = 0; t < dims; ++t) {
+    const double extent = static_cast<double>(edge.shape[t]);
+    double* const q = quotient.data() + t * count;
+    for (size_t c = 0; c < count; ++c) {
+      q[c] = transfer_quotient(extent, map[t], configs[c]);
+      need[c] *= q[c];
+    }
+  }
+  for (size_t c = 0; c < count; ++c) {
+    degree[c] = static_cast<double>(configs[c].degree());
+    ratio[c] = params.group_r(configs[c].degree());
+  }
+}
+
+void transfer_cost_row(const TransferFactors& w, size_t cw,
+                       const TransferFactors& v, bool v_is_src,
+                       const CostParams& params, double* row) {
+  PASE_CHECK(w.dims == v.dims && cw < w.count);
+  const size_t k = v.count;
+  std::fill(row, row + k, 1.0);
+  for (size_t t = 0; t < v.dims; ++t) {
+    const double qw = w.quotient[t * w.count + cw];
+    const double* const qv = v.quotient.data() + t * k;
+    for (size_t c = 0; c < k; ++c) row[c] *= std::min(qw, qv[c]);
+  }
+  // edge_flop_byte_ratio is the group r of the larger degree, which is the
+  // ratio factor of the side with the larger degree.
+  const double need_w = w.need[cw];
+  const double deg_w = w.degree[cw];
+  const double ratio_w = w.ratio[cw];
+  const double bpe = params.bytes_per_element;
+  if (v_is_src) {
+    for (size_t c = 0; c < k; ++c)
+      row[c] = (deg_w >= v.degree[c] ? ratio_w : v.ratio[c]) *
+               transfer_select(v.need[c], v.degree[c], need_w, deg_w, row[c],
+                               bpe);
+  } else {
+    for (size_t c = 0; c < k; ++c)
+      row[c] = (deg_w >= v.degree[c] ? ratio_w : v.ratio[c]) *
+               transfer_select(need_w, deg_w, v.need[c], v.degree[c], row[c],
+                               bpe);
+  }
 }
 
 double edge_flop_byte_ratio(const CostParams& params, const Config& src_config,

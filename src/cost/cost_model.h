@@ -12,7 +12,13 @@
 //  * t_x — transfer cost along an edge: the paper's
 //    max_d |A(v,d,phi)| - |A(v,d,phi) n A(u,d,phi)| evaluated in closed form
 //    for uniform block partitions under the greedy aligned placement,
-//    counted in both directions (t_x is edge-direction agnostic).
+//    counted in both directions (t_x is edge-direction agnostic). The
+//    closed form reads per-configuration factors of each endpoint — one
+//    per-device extent per tensor dim, their product and the degree — and
+//    combines two of them with no division: the overlap is the product of
+//    the per-dim minima. transfer_bytes prices one pair; TransferFactors
+//    and transfer_cost_row price a whole row of a table with the same
+//    factors, the form the DP solver uses.
 //
 // Collective pricing is pluggable: by default t_l uses the paper's ring
 // wire-byte form (`simple`), but CostParams::comm can attach the src/comm
@@ -151,6 +157,38 @@ double transfer_bytes(const Edge& edge, const Config& src_config,
 /// aligned fastest-first prefixes, which is the wider one).
 double edge_flop_byte_ratio(const CostParams& params, const Config& src_config,
                             const Config& dst_config);
+
+/// The factors t_x reads from one endpoint of an edge, for every
+/// configuration of that endpoint's list, laid out for a row sweep (one
+/// contiguous array per tensor dim). For configuration c and tensor dim t
+/// mapped to iteration dim d on this side, the quotient is
+/// extent_t / min(c[d], extent_t), the per-device extent; it is extent_t
+/// when this side does not map t. `need` is the product of the quotients in
+/// tensor-dim order, the per-device volume this side consumes; `ratio` is
+/// params.group_r(degree), the r of a reshard over this side's group.
+struct TransferFactors {
+  TransferFactors() = default;
+  TransferFactors(const Edge& edge, bool src_side,
+                  const std::vector<Config>& configs, const CostParams& params);
+
+  size_t count = 0;               ///< configurations
+  size_t dims = 0;                ///< tensor dims
+  std::vector<double> quotient;   ///< [t * count + c]
+  std::vector<double> need;       ///< [c]
+  std::vector<double> degree;     ///< [c]
+  std::vector<double> ratio;      ///< [c]
+};
+
+/// r * t_x of one edge for configuration cw of endpoint w against every
+/// configuration of the other endpoint v, into row[0 .. v.count): entry c
+/// equals edge_flop_byte_ratio * transfer_bytes of that pair, bit for bit.
+/// `v_is_src` says which endpoint is the producer. One sweep per tensor dim
+/// builds the overlaps (no division: IEEE division is correctly rounded and
+/// monotone, so min(e / cu, e / cv) is exactly e / max(cu, cv)), then one
+/// pass applies the forward/backward selects and the ratio.
+void transfer_cost_row(const TransferFactors& w, size_t cw,
+                       const TransferFactors& v, bool v_is_src,
+                       const CostParams& params, double* row);
 
 /// Per-strategy cost breakdown of Eq. (1).
 struct CostBreakdown {

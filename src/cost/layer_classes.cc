@@ -38,19 +38,20 @@ void node_signature(const Node& n, u32 list_id, std::vector<double>& s) {
   s.push_back(static_cast<double>(list_id));
 }
 
-/// Everything transfer_bytes() reads from an Edge, then the classes of its
-/// source and destination: the cost depends only on the tensor and its dim
-/// maps, not on which node ids carry it, but an edge's prices range over
-/// its endpoints' configuration lists.
-void edge_signature(const Edge& e, u32 src_class, u32 dst_class,
+/// Everything transfer_bytes() reads from an Edge, then the list ids of its
+/// source and destination: t_x depends only on the tensor, its dim maps and
+/// the two configurations, not on which nodes carry it, so two edges whose
+/// endpoints differ in FLOPs or parameters still share every price when
+/// their endpoint lists are equal.
+void edge_signature(const Edge& e, u32 src_list, u32 dst_list,
                     std::vector<double>& s) {
   s.clear();
   s.push_back(static_cast<double>(e.shape.size()));
   for (i64 x : e.shape) s.push_back(static_cast<double>(x));
   for (i32 x : e.src_dims) s.push_back(static_cast<double>(x));
   for (i32 x : e.dst_dims) s.push_back(static_cast<double>(x));
-  s.push_back(static_cast<double>(src_class));
-  s.push_back(static_cast<double>(dst_class));
+  s.push_back(static_cast<double>(src_list));
+  s.push_back(static_cast<double>(dst_list));
 }
 
 /// The class id of `signature` in `ids`, a new one (the next integer) if
@@ -79,7 +80,8 @@ LayerClasses::LayerClasses(const Graph& graph, const ConfigCache& configs) {
   std::map<std::vector<double>, u32> edge_ids;
   edge_class_.reserve(static_cast<size_t>(graph.num_edges()));
   for (const Edge& e : graph.edges()) {
-    edge_signature(e, node_class(e.src), node_class(e.dst), signature);
+    edge_signature(e, configs.list_id(e.src), configs.list_id(e.dst),
+                   signature);
     edge_class_.push_back(class_of(edge_ids, signature));
   }
   num_edge_classes_ = static_cast<i64>(edge_ids.size());

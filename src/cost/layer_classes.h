@@ -7,13 +7,14 @@
 // by comparing every field the cost model reads (iteration space extents,
 // FLOP density, parameter tensors, reduction dims, halos, output spec; edge
 // tensor shape and dim maps) plus the configuration lists prices range over
-// (a node's ConfigCache list id; an edge's two endpoint node classes).
-// Class construction is exact (full structural comparison, no hashing
-// shortcut), so two same-class nodes have the same configuration list and
-// the same t_l for every configuration in it, and two same-class edges the
-// same endpoint lists and the same t_x for every pair of endpoint
-// configurations. A class id alone therefore decides whether a price can
-// be reused.
+// (a node's ConfigCache list id; an edge's two endpoint list ids — t_x
+// reads nothing else of its endpoints, so edges between layers that differ
+// only in FLOPs or parameters share a class). Class construction is exact
+// (full structural comparison, no hashing shortcut), so two same-class
+// nodes have the same configuration list and the same t_l for every
+// configuration in it, and two same-class edges the same endpoint lists and
+// the same t_x for every pair of endpoint configurations. A class id alone
+// therefore decides whether a price can be reused.
 //
 // The DP solver indexes its t_l vectors by node class and its t_x tables
 // by oriented edge class (core/dp_solver.cc), so a model that repeats a

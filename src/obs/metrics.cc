@@ -41,12 +41,26 @@ void MetricsRegistry::add_gauge(const std::string& name, double delta) {
   gauges_[name] += delta;
 }
 
+void MetricsRegistry::Histogram::record(i64 value) {
+  ++count;
+  sum += std::max<i64>(value, 0);
+  ++buckets[bucket_of(value)];
+}
+
 void MetricsRegistry::record(const std::string& name, i64 value) {
   std::lock_guard<std::mutex> lock(mu_);
-  Hist& h = hists_[name];
-  ++h.count;
-  h.sum += std::max<i64>(value, 0);
-  ++h.buckets[bucket_of(value)];
+  hists_[name].record(value);
+}
+
+void MetricsRegistry::add_histogram(const std::string& name,
+                                    const Histogram& h) {
+  if (h.count == 0) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  Histogram& into = hists_[name];
+  into.count += h.count;
+  into.sum += h.sum;
+  for (size_t k = 0; k < h.buckets.size(); ++k)
+    into.buckets[k] += h.buckets[k];
 }
 
 u64 MetricsRegistry::counter(const std::string& name) const {

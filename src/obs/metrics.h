@@ -47,6 +47,23 @@ class MetricsRegistry {
   /// (structural quantities are counts); negative values clamp to 0.
   void record(const std::string& name, i64 value);
 
+  /// A power-of-two histogram held outside the registry: bucket k counts
+  /// samples whose bit width is k, i.e. bucket 0 holds {0}, bucket k>=1
+  /// holds [2^(k-1), 2^k). A loop that records a sample per iteration
+  /// fills one of these and hands it over once with add_histogram — one
+  /// lock and one name lookup in all, and the same snapshot as recording
+  /// each sample.
+  struct Histogram {
+    u64 count = 0;
+    i64 sum = 0;
+    std::array<u64, 64> buckets{};
+
+    void record(i64 value);
+  };
+  /// Adds every sample of `h` to the named histogram; a histogram with no
+  /// samples adds nothing (and creates no metric).
+  void add_histogram(const std::string& name, const Histogram& h);
+
   /// Reads (0 / empty when the metric does not exist).
   u64 counter(const std::string& name) const;
   double gauge(const std::string& name) const;
@@ -84,18 +101,10 @@ class MetricsRegistry {
   std::string to_prometheus(bool include_gauges = true) const;
 
  private:
-  /// Power-of-two histogram: bucket k counts samples whose bit width is k,
-  /// i.e. bucket 0 holds {0}, bucket k>=1 holds [2^(k-1), 2^k).
-  struct Hist {
-    u64 count = 0;
-    i64 sum = 0;
-    std::array<u64, 64> buckets{};
-  };
-
   mutable std::mutex mu_;
   std::map<std::string, u64> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Hist> hists_;
+  std::map<std::string, Histogram> hists_;
 };
 
 }  // namespace pase

@@ -147,9 +147,24 @@ PhaseScope::PhaseScope(TraceSession* trace, MetricsRegistry* metrics,
       gauge_name_(gauge_name),
       start_ns_(metrics ? steady_ns() : 0.0) {}
 
+PhaseScope::PhaseScope(TraceSession* trace, PhaseGauge& gauge,
+                       const char* span_name)
+    : span_(trace, span_name),
+      metrics_(nullptr),
+      gauge_name_(nullptr),
+      gauge_(&gauge),
+      start_ns_(gauge.enabled() ? steady_ns() : 0.0) {}
+
 PhaseScope::~PhaseScope() {
-  if (metrics_ && gauge_name_)
+  if (gauge_) {
+    if (gauge_->enabled()) gauge_->add((steady_ns() - start_ns_) / 1e9);
+  } else if (metrics_ && gauge_name_) {
     metrics_->add_gauge(gauge_name_, (steady_ns() - start_ns_) / 1e9);
+  }
+}
+
+void PhaseGauge::flush() const {
+  if (metrics_ && scopes_ > 0) metrics_->add_gauge(gauge_name_, seconds_);
 }
 
 }  // namespace pase

@@ -95,6 +95,30 @@ class TraceSession {
   std::vector<std::unique_ptr<TraceLane>> lanes_;
 };
 
+/// A phase's seconds gauge summed over many PhaseScopes — the solver's
+/// per-vertex phases — and written to its registry once, by flush(): one
+/// locked registry call per solve instead of one per scope. A null
+/// registry makes the scopes read no clock.
+class PhaseGauge {
+ public:
+  PhaseGauge(MetricsRegistry* metrics, const char* gauge_name)
+      : metrics_(metrics), gauge_name_(gauge_name) {}
+
+  bool enabled() const { return metrics_ != nullptr; }
+  void add(double seconds) {
+    seconds_ += seconds;
+    ++scopes_;
+  }
+  /// Adds the summed seconds to the gauge, if any scope ran.
+  void flush() const;
+
+ private:
+  MetricsRegistry* metrics_;
+  const char* gauge_name_;
+  double seconds_ = 0.0;
+  u64 scopes_ = 0;
+};
+
 /// Combined phase instrumentation: a TraceSession span plus an accumulated
 /// `<gauge_name>` seconds gauge in a MetricsRegistry. Either sink (or both)
 /// may be null. This is what the DP solver wraps its phases in, so the
@@ -104,6 +128,9 @@ class PhaseScope {
  public:
   PhaseScope(TraceSession* trace, MetricsRegistry* metrics,
              const char* span_name, const char* gauge_name);
+  /// Per-iteration form: the span as above, and the elapsed seconds added
+  /// to `gauge`, which writes its registry once (PhaseGauge::flush).
+  PhaseScope(TraceSession* trace, PhaseGauge& gauge, const char* span_name);
   ~PhaseScope();
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
@@ -114,6 +141,7 @@ class PhaseScope {
   TraceSession::Span span_;
   MetricsRegistry* metrics_;
   const char* gauge_name_;
+  PhaseGauge* gauge_ = nullptr;
   double start_ns_;
 };
 

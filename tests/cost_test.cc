@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "config/config_enum.h"
 #include "cost/cost_model.h"
+#include "cost/layer_classes.h"
 #include "cost/machine.h"
+#include "hetero/hetero.h"
 #include "models/models.h"
 #include "ops/ops.h"
 #include "search/baselines.h"
@@ -223,6 +228,186 @@ TEST_P(DeltaCostSweep, DeltaMatchesFullReevaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaCostSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// ---- Row pricing against the closed forms it replaced.
+
+// transfer_bytes and layer_cost as they were before t_x was computed from
+// per-configuration factors, kept verbatim as references: the overlap
+// divided by max(cu, cv) per tensor dim, and t_l summed a built list of
+// collectives.
+double reference_transfer_bytes(const Edge& edge, const Config& src_config,
+                                const Config& dst_config,
+                                const CostParams& params) {
+  double need_u = 1.0;
+  double need_v = 1.0;
+  double overlap = 1.0;
+  for (size_t t = 0; t < edge.shape.size(); ++t) {
+    const double extent = static_cast<double>(edge.shape[t]);
+    const i32 sd = edge.src_dims[t];
+    const i32 dd = edge.dst_dims[t];
+    const double cu =
+        sd >= 0 ? std::min(static_cast<double>(src_config[sd]), extent) : 1.0;
+    const double cv =
+        dd >= 0 ? std::min(static_cast<double>(dst_config[dd]), extent) : 1.0;
+    need_u *= extent / cu;
+    need_v *= extent / cv;
+    overlap *= extent / std::max(cu, cv);
+  }
+  const i64 deg_u = src_config.degree();
+  const i64 deg_v = dst_config.degree();
+  const double fwd =
+      deg_v > deg_u ? need_v : std::max(0.0, need_v - overlap);
+  const double bwd =
+      deg_u > deg_v ? need_u : std::max(0.0, need_u - overlap);
+  return (fwd + bwd) * params.bytes_per_element;
+}
+
+double reference_layer_cost(const Node& node, const Config& config,
+                            const CostParams& params) {
+  if (params.comm) {
+    double comm_flops = 0.0;
+    for (const CollectiveComm& c : layer_collectives(node, config, params)) {
+      const double weight =
+          c.kind == CollectiveComm::Kind::kGradientAllReduce
+              ? params.gradient_comm_discount
+              : 1.0;
+      const double seconds =
+          c.kind == CollectiveComm::Kind::kHaloExchange
+              ? params.comm->halo_exchange_time(c.bytes, c.group)
+              : params.comm->collective_time(Collective::kAllReduce,
+                                             c.volume_bytes, c.group);
+      comm_flops += weight * seconds * params.seconds_to_flops;
+    }
+    return layer_flops(node, config, params) + comm_flops;
+  }
+  if (params.heterogeneity_aware()) {
+    double comm_flops = 0.0;
+    for (const CollectiveComm& c : layer_collectives(node, config, params)) {
+      const double weight =
+          c.kind == CollectiveComm::Kind::kGradientAllReduce
+              ? params.gradient_comm_discount
+              : 1.0;
+      comm_flops += weight * params.group_r(c.group) * c.bytes;
+    }
+    return layer_flops(node, config, params) + comm_flops;
+  }
+  double comm_bytes = 0.0;
+  for (const CollectiveComm& c : layer_collectives(node, config, params)) {
+    const double weight =
+        c.kind == CollectiveComm::Kind::kGradientAllReduce
+            ? params.gradient_comm_discount
+            : 1.0;
+    comm_bytes += weight * c.bytes;
+  }
+  return layer_flops(node, config, params) + params.r * comm_bytes;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(CostModel, RowPricesMatchClosedFormBitwise) {
+  // Every t_x row entry, in both orientations, and every t_l must carry the
+  // reference's exact bits — on the plain machine-wide r (1080ti) and the
+  // per-group hetero r (mixed_pod), in the paper's space and with every
+  // split class open, at p = 8 and 64 and with split factors that are not
+  // powers of two (p = 12; dividing by a power of two is exact, so only
+  // those factors tell a division from a multiply by the reciprocal).
+  // Prices depend on a node or edge only through its LayerClasses class,
+  // so one member per class covers the graph.
+  struct Space {
+    i64 p;
+    bool powers_of_two;
+  };
+  const std::vector<std::string> zoo = {
+      "alexnet",  "inception_v3", "rnnlm",          "transformer",
+      "densenet", "resnet50",     "vgg16",          "mobilenet_v1",
+      "gnmt",     "mlp",          "resnet_large_p", "transformer_pipelined",
+      "transformer_stack_2"};
+  u64 entries = 0;
+  for (const std::string& model : zoo) {
+    const Graph g = *models::zoo_graph(model);
+    for (const Space space :
+         {Space{8, true}, Space{64, true}, Space{12, false}})
+      for (const char* split : {"batch,param", "all"})
+        for (const char* machine : {"1080ti", "mixed_pod"}) {
+          const std::string where =
+              model + " p=" + std::to_string(space.p) +
+              (space.powers_of_two ? " " : " (any factors) ") + split + " " +
+              machine;
+          ConfigOptions opts;
+          opts.max_devices = space.p;
+          opts.powers_of_two_only = space.powers_of_two;
+          opts.split_dims = *parse_split_dims(split);
+          const ConfigCache configs(g, opts);
+          const LayerClasses classes(g, configs);
+          const MachineSpec m = *machine_preset(machine, space.p);
+          const CostParams params = hetero_cost_params(m);
+          ASSERT_EQ(params.heterogeneity_aware(),
+                    std::string(machine) == "mixed_pod");
+
+          // `what` names the first mismatch; it is only called for that one.
+          u64 mismatches = 0;
+          std::string first;
+          auto check = [&](double got, double want, auto&& what) {
+            ++entries;
+            if (!same_bits(got, want) && mismatches++ == 0) first = what();
+          };
+          std::vector<bool> seen(
+              static_cast<size_t>(classes.num_edge_classes()), false);
+          std::vector<double> table, row;
+          for (const Edge& e : g.edges()) {
+            if (seen[classes.edge_class(e.id)]) continue;
+            seen[classes.edge_class(e.id)] = true;
+            const auto& src = configs.at(e.src);
+            const auto& dst = configs.at(e.dst);
+            const TransferFactors fs(e, true, src, params);
+            const TransferFactors fd(e, false, dst, params);
+            auto edge_name = [&] { return "edge " + std::to_string(e.id); };
+            // The consumer's table, row by row (the producer is w) ...
+            table.resize(src.size() * dst.size());
+            for (size_t cs = 0; cs < src.size(); ++cs) {
+              double* const r = table.data() + cs * dst.size();
+              transfer_cost_row(fs, cs, fd, false, params, r);
+              for (size_t cd = 0; cd < dst.size(); ++cd) {
+                const double bytes =
+                    reference_transfer_bytes(e, src[cs], dst[cd], params);
+                check(r[cd],
+                      edge_flop_byte_ratio(params, src[cs], dst[cd]) * bytes,
+                      edge_name);
+                check(transfer_bytes(e, src[cs], dst[cd], params), bytes,
+                      [&] { return "transfer_bytes of " + edge_name(); });
+              }
+            }
+            // ... and the producer's (the consumer is w), entry for entry.
+            row.resize(src.size());
+            for (size_t cd = 0; cd < dst.size(); ++cd) {
+              transfer_cost_row(fd, cd, fs, true, params, row.data());
+              for (size_t cs = 0; cs < src.size(); ++cs)
+                check(row[cs], table[cs * dst.size() + cd],
+                      [&] { return edge_name() + " from its source"; });
+            }
+          }
+
+          const CostParams auto_params =
+              hetero_cost_params(m, CommModelKind::kAuto);
+          std::vector<bool> priced(
+              static_cast<size_t>(classes.num_node_classes()), false);
+          for (const Node& n : g.nodes()) {
+            if (priced[classes.node_class(n.id)]) continue;
+            priced[classes.node_class(n.id)] = true;
+            for (const Config& c : configs.at(n.id))
+              for (const CostParams* q : {&params, &auto_params})
+                check(layer_cost(n, c, *q), reference_layer_cost(n, c, *q),
+                      [&] {
+                        return "layer " + n.name + (q->comm ? " (auto)" : "");
+                      });
+          }
+          EXPECT_EQ(mismatches, 0u) << where << ", first at " << first;
+        }
+  }
+  EXPECT_GT(entries, 0u);
+}
 
 TEST(Machine, FlopToByteRatio) {
   MachineSpec m;

@@ -137,9 +137,12 @@ TEST(LayerClasses, SharedPriceCountsAreExact) {
     i64 p;
     u64 node_hits, edge_hits, combinations;
   };
-  for (const Case& c : {Case{"transformer_stack_1000", 8, 5997, 7992, 6291510},
-                        Case{"inception_v3", 64, 137, 133, 10262069},
-                        Case{"transformer", 64, 87, 111, 9313276}}) {
+  // Edges are keyed on their endpoints' lists, not their endpoint classes,
+  // so an edge between layers that differ only in FLOPs or parameters
+  // shares its table too.
+  for (const Case& c : {Case{"transformer_stack_1000", 8, 5997, 7995, 6291510},
+                        Case{"inception_v3", 64, 137, 181, 10262069},
+                        Case{"transformer", 64, 87, 114, 9313276}}) {
     const Graph g = *models::zoo_graph(c.model);
     for (const i64 threads : {1, 4}) {
       SCOPED_TRACE(std::string(c.model) + " at p = " + std::to_string(c.p) +

@@ -417,6 +417,7 @@ TEST(ObsTrace, DpTraceNestsAndCoversPhases) {
     for (const auto* e : events) ++counts[e->get("name")->string];
   EXPECT_EQ(counts["ordering"], 1);
   EXPECT_EQ(counts["configs"], 1);
+  EXPECT_EQ(counts["classes"], 1);
   EXPECT_EQ(counts["back_substitution"], 1);
   EXPECT_EQ(counts["dep_sets"], 1);
   EXPECT_EQ(counts["table_fill"], g.num_nodes());

@@ -165,7 +165,7 @@ mkdir -p "$OBS_TMP"
 expect 0 "trace + metrics outputs" -- \
   "$ROOT/tools/example_model.pase" --devices 8 \
   --trace-out "$OBS_TMP/trace.json" --metrics-out "$OBS_TMP/metrics.json"
-for phase in ordering configs dep_sets table_fill pricing reduce \
+for phase in ordering configs classes dep_sets table_fill pricing reduce \
              back_substitution; do
   grep -q "\"name\":\"$phase\"" "$OBS_TMP/trace.json" \
     || bad "trace missing phase span: $phase"
@@ -196,6 +196,14 @@ for count in '"comm.cost.algo.hd": 550' '"comm.cost.algo.hier": 56' \
   grep -qF "$count" "$OBS_TMP/auto.json" \
     || bad "auto comm model metrics missing $count"
 done
+# Shared t_x tables are a pure function of the graph and its configuration
+# lists: an edge is keyed on its tensor, dim maps and endpoint list ids, so
+# InceptionV3 at p = 64 reuses exactly this many tables.
+expect 0 "class-shared t_x tables" -- \
+  --zoo inception_v3 --devices 64 --threads 1 \
+  --metrics-out "$OBS_TMP/classes.json"
+grep -qF '"dp.class_memo.edge_hits": 181' "$OBS_TMP/classes.json" \
+  || bad "inception_v3 at p = 64 must reuse 181 t_x tables"
 
 note "Prometheus metrics exposition (--metrics-format prom)"
 expect 0 "prom metrics snapshot" -- \
