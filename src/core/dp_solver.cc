@@ -22,13 +22,6 @@ namespace {
 /// thread. Has no effect on results, only on scheduling.
 constexpr u64 kParallelWorkThreshold = 4096;
 
-/// DP table entry: minimum cost R(i, phi) and the arg-min configuration of
-/// v^(i) for back-substitution.
-struct Entry {
-  double cost = 0.0;
-  u32 cfg = 0;
-};
-
 /// Compact number rendering for guard-reason diagnostics.
 std::string fmt_count(double v) {
   char buf[32];
@@ -38,7 +31,7 @@ std::string fmt_count(double v) {
 
 /// Per-position DP state kept alive for anchor lookups and extraction.
 ///
-/// The substrategy table R(i, .) is a dense vector indexed by the
+/// The substrategy table R(i, .) is two dense arrays indexed by the
 /// mixed-radix rank of phi: dependent[0] is the fastest-varying digit
 /// (stride 1), matching the odometer enumeration order, so an entry's index
 /// is sum_k cur_idx[dependent[k]] * stride[k]. Dense indexing replaces the
@@ -46,12 +39,19 @@ std::string fmt_count(double v) {
 /// anyway, and a rank computation is cheaper than hashing a key vector —
 /// and it gives each parallel worker a distinct, pre-sized slot to write,
 /// which is what makes the threaded fan-out race-free and deterministic.
+///
+/// `cost` holds R(i, phi) and has one reader: the later vertex whose S(.)
+/// holds X(i), which releases it once its reduce has read it. `argmin`
+/// holds v^(i)'s minimizing configuration index, the one thing
+/// back-substitution reads, and lives to the end of the solve. A root's
+/// one-slot cost array is never released: it is the answer.
 struct PositionState {
   std::vector<NodeId> dependent;  ///< D(i), sorted by node id
   std::vector<i64> anchors;       ///< S(i) anchor positions
-  std::vector<u32> radix;         ///< |C(dependent[k])|
   std::vector<u64> stride;        ///< mixed-radix strides, stride[0] = 1
-  std::vector<Entry> table;       ///< size = prod(radix)
+  u64 size = 0;                   ///< prod_k |C(dependent[k])|
+  std::unique_ptr<double[]> cost;  ///< [size], until its consumer reduced
+  std::unique_ptr<u32[]> argmin;   ///< [size]
 
   u64 index_of(const std::vector<u32>& cur_idx) const {
     u64 idx = 0;
@@ -76,15 +76,22 @@ void extract(const std::vector<PositionState>& states,
     const NodeId vi = order.seq[static_cast<size_t>(pending.back())];
     pending.pop_back();
     const u64 idx = st.index_of(cur_idx);
-    PASE_CHECK_MSG(idx < st.table.size(),
-                   "missing DP entry during extraction");
-    cur_idx[static_cast<size_t>(vi)] = st.table[idx].cfg;
-    out[static_cast<size_t>(vi)] = configs.at(vi)[st.table[idx].cfg];
+    PASE_CHECK_MSG(idx < st.size, "missing DP entry during extraction");
+    cur_idx[static_cast<size_t>(vi)] = st.argmin[idx];
+    out[static_cast<size_t>(vi)] = configs.at(vi)[st.argmin[idx]];
     // Reversed, so the first anchor is popped (and its subtree finished)
     // first, exactly as the recursion would visit them.
     pending.insert(pending.end(), st.anchors.rbegin(), st.anchors.rend());
   }
 }
+
+/// A reduce worker's own mutable state: the configuration index per node,
+/// the odometer over D(i), and the |C(v^(i))| accumulator.
+struct ReduceScratch {
+  std::vector<u32> cur;
+  std::vector<u32> odo;
+  std::vector<double> acc;
+};
 
 /// The H term's prices for one vertex v^(i) of recurrence (4): t_l(v^(i), C)
 /// for every C in C(v^(i)), and r * t_x of each later edge (in incident
@@ -487,6 +494,11 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   PhaseGauge reduce_gauge(metrics, "dp.phase.reduce_seconds");
   MetricsRegistry::Histogram substrategies_per_vertex;
   u64 combinations = 0;
+  // Bytes of substrategy tables alive (cost + argmin arrays), and the most
+  // alive at once: a pure function of (graph, options), as allocations and
+  // releases happen on the calling thread in sequence order.
+  u64 table_bytes = 0;
+  u64 table_bytes_peak = 0;
 
   // Final metrics flush, shared by every exit path. Counters/histograms
   // recorded here are structural — pure functions of (graph, options minus
@@ -508,6 +520,8 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       metrics->add_counter("dp.substrategies",
                            static_cast<u64>(substrategies_per_vertex.sum));
       metrics->add_counter("dp.combinations", combinations);
+      metrics->record("dp.table_bytes_peak",
+                      static_cast<i64>(table_bytes_peak));
     }
     if (pricer.node_hits() > 0)
       metrics->add_counter("dp.class_memo.node_hits", pricer.node_hits());
@@ -590,14 +604,23 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     }
     roots = std::move(sets.roots);
   }
-  std::vector<u32> cur_idx(static_cast<size_t>(n), 0);
 
   // Cooperative cancellation across workers once the deadline expires or
   // the external token is observed set.
   std::atomic<bool> cancel{false};
 
+  // Scratch reused from vertex to vertex: the vertex's prices, the radix
+  // |C(dependent[k])| of its table, its anchors, and the calling thread's
+  // reduce state (whose `cur` back-substitution reuses).
   VertexPrices prices;
-  std::vector<double> acc_seq;  // the calling thread's reduce accumulator
+  std::vector<u32> radix;
+  struct Anchor {
+    const PositionState* state;
+    u64 vi_stride;  ///< v^(i)'s stride in the anchor's table
+  };
+  std::vector<Anchor> anchors;
+  ReduceScratch seq;
+  seq.cur.assign(static_cast<size_t>(n), 0);
   for (i64 i = 0; i < n && !trip; ++i) {
     if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone) {
       trip.emplace(
@@ -642,14 +665,13 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     result.max_combinations_analyzed = std::max(
         result.max_combinations_analyzed, static_cast<u64>(work));
 
-    st.radix.resize(st.dependent.size());
+    radix.resize(st.dependent.size());
     st.stride.resize(st.dependent.size());
     u64 prod = 1;
     for (size_t k = 0; k < st.dependent.size(); ++k) {
-      st.radix[k] =
-          static_cast<u32>(configs.at(st.dependent[k]).size());
+      radix[k] = static_cast<u32>(configs.at(st.dependent[k]).size());
       st.stride[k] = prod;
-      prod *= st.radix[k];
+      prod *= radix[k];
     }
     PASE_CHECK(static_cast<double>(prod) == combos);
     fill_phase.arg("substrategies", static_cast<i64>(prod));
@@ -682,55 +704,55 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
                                     le.other);
         }));
 
-    // Anchors whose D(j) contains v^(i) are read once per C; the rest
-    // depend only on phi and are summed into the per-phi base. An inner
-    // anchor's entry for (phi, C) sits at its index with v^(i)'s digit left
-    // out, plus C x (v^(i)'s stride in its table).
-    struct InnerAnchor {
-      const PositionState* state;
-      u64 vi_stride;
-    };
-    std::vector<const PositionState*> anchors_outer;
-    std::vector<InnerAnchor> anchors_inner;
+    // Every X(j) in S(i) is a component of the connected X(i) - {v^(i)},
+    // so it neighbours v^(i), which comes after it: v^(i) is in D(j). An
+    // anchor's entry for (phi, C) thus sits at its index with v^(i)'s digit
+    // left out, plus C x (v^(i)'s stride in its table).
+    anchors.clear();
     for (i64 j : st.anchors) {
       const PositionState& sj = states[static_cast<size_t>(j)];
       const auto& dj = sj.dependent;
       const auto at = std::lower_bound(dj.begin(), dj.end(), vi);
-      if (at != dj.end() && *at == vi)
-        anchors_inner.push_back(
-            {&sj, sj.stride[static_cast<size_t>(at - dj.begin())]});
-      else
-        anchors_outer.push_back(&sj);
+      PASE_CHECK(at != dj.end() && *at == vi);
+      anchors.push_back({&sj, sj.stride[static_cast<size_t>(at - dj.begin())]});
       // Theory: D(j) is a subset of D(i) U {v^(i)} for X(j) in S(i).
       for (NodeId d : dj)
         PASE_CHECK(d == vi || std::binary_search(st.dependent.begin(),
                                                  st.dependent.end(), d));
     }
 
-    st.table.resize(static_cast<size_t>(prod));
+    // Uninitialized: the reduce writes every slot exactly once.
+    st.size = prod;
+    st.cost = std::make_unique_for_overwrite<double[]>(prod);
+    st.argmin = std::make_unique_for_overwrite<u32[]>(prod);
+    table_bytes += prod * (sizeof(double) + sizeof(u32));
+    table_bytes_peak = std::max(table_bytes_peak, table_bytes);
 
     // The min-plus reduce over the phi linear-index range [p0, p1): for
     // each phi it accumulates H + sum R into a |C(v^(i))| array, then scans
-    // it for the first strict minimum and writes that Entry to phi's own
-    // table slot. Every C's sum is added in a fixed order — base (the outer
-    // anchors), t_l, later edges in incident order, inner anchors in S(i)
-    // order — so the table is bit-identical however the range is split.
-    // `cur` (config index per node) and `acc` are the caller's scratch, one
-    // per worker in the parallel fan-out, so workers share no mutable state.
+    // it for the first strict minimum and writes its cost and argmin to
+    // phi's own slot. Every C's sum is added in a fixed order — t_l, later
+    // edges in incident order, anchors in S(i) order — so the table is
+    // bit-identical however the range is split. `s` is the caller's
+    // scratch, one per worker in the parallel fan-out, so workers share no
+    // mutable state.
     const size_t kc = vi_configs.size();
     const double* const layer = prices.layer;
-    auto process_range = [&](u64 p0, u64 p1, std::vector<u32>& cur,
-                             std::vector<double>& acc_storage) {
+    double* const cost_out = st.cost.get();
+    u32* const argmin_out = st.argmin.get();
+    auto process_range = [&](u64 p0, u64 p1, ReduceScratch& s) {
       const size_t kd = st.dependent.size();
-      std::vector<u32> odo(kd);
+      std::vector<u32>& cur = s.cur;
+      s.odo.resize(kd);
+      u32* const odo = s.odo.data();
       for (size_t k = 0; k < kd; ++k) {
-        odo[k] = static_cast<u32>((p0 / st.stride[k]) % st.radix[k]);
+        odo[k] = static_cast<u32>((p0 / st.stride[k]) % radix[k]);
         cur[static_cast<size_t>(st.dependent[k])] = odo[k];
       }
-      // The inner anchors' lookups below leave v^(i)'s digit out.
+      // The anchors' lookups below leave v^(i)'s digit out.
       cur[static_cast<size_t>(vi)] = 0;
-      acc_storage.resize(kc);
-      double* const acc = acc_storage.data();
+      s.acc.resize(kc);
+      double* const acc = s.acc.data();
       // Amortized abort check every ~8k *combinations* — counting phi
       // indices would let a vertex with few substrategies but a huge
       // configuration set blow far past the deadline between checks.
@@ -746,30 +768,34 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
           }
         }
 
-        double base = 0.0;
-        for (const PositionState* sj : anchors_outer)
-          base += sj->table[sj->index_of(cur)].cost;
-        for (size_t ci = 0; ci < kc; ++ci) acc[ci] = base + layer[ci];
+        // 0.0 + t_l, not t_l: the sum starts at +0.0, so a -0.0 price
+        // enters it as +0.0.
+        for (size_t ci = 0; ci < kc; ++ci) acc[ci] = 0.0 + layer[ci];
         for (const VertexPrices::LaterEdge& le : prices.later) {
           const double* const col =
               le.matrix +
               static_cast<size_t>(cur[static_cast<size_t>(le.other)]) * kc;
           for (size_t ci = 0; ci < kc; ++ci) acc[ci] += col[ci];
         }
-        for (const InnerAnchor& a : anchors_inner) {
-          const Entry* const column =
-              a.state->table.data() + a.state->index_of(cur);
+        for (const Anchor& a : anchors) {
+          const double* const column =
+              a.state->cost.get() + a.state->index_of(cur);
           for (size_t ci = 0; ci < kc; ++ci)
-            acc[ci] += column[ci * a.vi_stride].cost;
+            acc[ci] += column[ci * a.vi_stride];
         }
-        Entry best{std::numeric_limits<double>::infinity(), 0};
+        double best = std::numeric_limits<double>::infinity();
+        u32 arg = 0;
         for (size_t ci = 0; ci < kc; ++ci)
-          if (acc[ci] < best.cost) best = Entry{acc[ci], static_cast<u32>(ci)};
-        st.table[idx] = best;
+          if (acc[ci] < best) {
+            best = acc[ci];
+            arg = static_cast<u32>(ci);
+          }
+        cost_out[idx] = best;
+        argmin_out[idx] = arg;
 
         // Advance the odometer (digit k = dependent[k], stride order).
         for (size_t k = 0; k < kd; ++k) {
-          if (++odo[k] < st.radix[k]) {
+          if (++odo[k] < radix[k]) {
             cur[static_cast<size_t>(st.dependent[k])] = odo[k];
             break;
           }
@@ -790,14 +816,13 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
         pool->parallel_for(
             0, static_cast<i64>(prod), grain,
             [&](i64 b0, i64 b1) {
-              std::vector<u32> cur(static_cast<size_t>(n), 0);
-              std::vector<double> acc;
-              process_range(static_cast<u64>(b0), static_cast<u64>(b1), cur,
-                            acc);
+              ReduceScratch s;
+              s.cur.assign(static_cast<size_t>(n), 0);
+              process_range(static_cast<u64>(b0), static_cast<u64>(b1), s);
             },
             &cancel);
       } else {
-        process_range(0, prod, cur_idx, acc_seq);
+        process_range(0, prod, seq);
       }
     }
     if (cancel.load(std::memory_order_relaxed)) {
@@ -812,6 +837,14 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
           cause);
       break;
     }
+
+    // The anchors' costs have had their one reader. Released here, after
+    // the fan-out has joined, so no worker can still be reading them.
+    for (i64 j : st.anchors) {
+      PositionState& sj = states[static_cast<size_t>(j)];
+      table_bytes -= sj.size * sizeof(double);
+      sj.cost.reset();
+    }
   }
 
   // Guard/deadline/cancellation trips either abort the exact DP
@@ -823,6 +856,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   if (trip) {
     result.guard_reason = std::move(trip->first);
     result.trip_cause = trip->second;
+    std::vector<PositionState>().swap(states);  // the fallback reads no table
     bool fallback_ok = false;
     if (options.degraded_fallback) {
       PhaseScope phase(trace, metrics, "beam_fallback",
@@ -862,15 +896,15 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
 
     result.best_cost = 0.0;
     result.strategy.assign(static_cast<size_t>(n), Config{});
-    std::fill(cur_idx.begin(), cur_idx.end(), 0);
+    std::fill(seq.cur.begin(), seq.cur.end(), 0);
     for (i64 root : roots) {
       const PositionState& st = states[static_cast<size_t>(root)];
       PASE_CHECK(st.dependent.empty());
-      PASE_CHECK(st.table.size() == 1);
-      result.best_cost += st.table[0].cost;
+      PASE_CHECK(st.size == 1 && st.cost);
+      result.best_cost += st.cost[0];
       // Back-substitution (paper: "a simple back-substitution, starting from
       // v^(|V|).cfg, provides the best strategy").
-      extract(states, order, configs, root, cur_idx, result.strategy);
+      extract(states, order, configs, root, seq.cur, result.strategy);
     }
     for (const Config& c : result.strategy)
       PASE_CHECK_MSG(c.rank() > 0, "extraction must assign every node");

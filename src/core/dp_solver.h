@@ -24,8 +24,11 @@
 //   reduce   a min-plus kernel that, for one phi at a time, adds those
 //            prices and the anchors' R values into a |C(v^(i))| array and
 //            keeps its first strict minimum.
-// Tables are dense vectors indexed by the configuration choices of the
-// dependent-set nodes. A table/work guard reports the same
+// A table is two dense arrays indexed by the configuration choices of the
+// dependent-set nodes: the costs, released once the one vertex that reads
+// them has reduced, and the argmins, which back-substitution reads. The
+// most table bytes alive at once is the dp.table_bytes_peak histogram
+// sample. A table/work guard reports the same
 // out-of-memory outcome the paper observes for breadth-first ordering on
 // InceptionV3 and Transformer (Table I) without actually exhausting RAM;
 // with DpOptions::degraded_fallback, a tripped guard (or an expired

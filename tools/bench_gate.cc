@@ -25,7 +25,11 @@
 // passes three runs. The same statistic produces the baseline:
 // `--update` writes the merged minimum of the CURRENT files to BASELINE
 // (the PASE_UPDATE_BENCH refresh path), so both sides of the comparison
-// are min-of-3-runs.
+// are min-of-3-runs. The merge is run 1 with every gated metric, and every
+// other numeric leaf whose key ends in `_ms` and that all runs carry (the
+// ledger's time fields and `cpu_calib_ms`), replaced by its minimum over
+// the runs. Other leaves — counts, ratios, rates — stay as run 1 has them:
+// for a higher-is-better field the minimum would be the worst run.
 //
 // The gate is two-sided:
 //   - ratio = current / (baseline * scale) > 1 + tolerance  -> REGRESSION
@@ -54,6 +58,7 @@
 // the gate (a renamed field must come with a baseline refresh).
 //
 // Exit codes: 0 pass, 1 gate failure, 2 usage/parse error.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -87,9 +92,10 @@ void print_usage(std::FILE* out, const char* argv0) {
       "stale-ratio (default 0.65, stale baseline). p99 metrics get\n"
       "--tail-slack-ms (default 5) of absolute headroom and skip the\n"
       "stale side. --scale-baseline F multiplies baseline values by F\n"
-      "first (gate self-test hook). --update instead writes the merged\n"
-      "minimum of the CURRENT files to BASELINE (the PASE_UPDATE_BENCH\n"
-      "refresh path in tools/check.sh).\n",
+      "first (gate self-test hook). --update instead writes the first\n"
+      "CURRENT file to BASELINE with each gated metric, and each *_ms\n"
+      "field every run has, replaced by its minimum over the CURRENT\n"
+      "files (the PASE_UPDATE_BENCH refresh path in tools/check.sh).\n",
       argv0, argv0);
 }
 
@@ -207,6 +213,28 @@ bool collect(const Json& baseline, double scale,
   return true;
 }
 
+/// Replaces each numeric `_ms` leaf of `merged` by its minimum over `runs`
+/// (the same object in every run, run 1's included) when every run has
+/// that leaf as a number, recursing into objects that every run has.
+void merge_min_ms(Json& merged, const std::vector<const Json*>& runs) {
+  for (auto& [key, value] : merged.object) {
+    std::vector<const Json*> children;
+    for (const Json* run : runs) {
+      const Json* child = run->get(key);
+      if (!child || child->kind != value.kind) break;
+      children.push_back(child);
+    }
+    if (children.size() != runs.size()) continue;
+    if (value.is_object()) {
+      merge_min_ms(value, children);
+    } else if (value.is_number() && key.size() > 3 &&
+               key.compare(key.size() - 3, 3, "_ms") == 0) {
+      for (const Json* child : children)
+        value.number = std::min(value.number, child->number);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -282,9 +310,12 @@ int main(int argc, char** argv) {
   }
 
   if (update) {
-    // Merged baseline: the first run with every gated metric (and the
-    // calibration) replaced by the min across runs.
+    // Merged baseline: the first run with every gated metric, and every
+    // `_ms` leaf all runs carry, replaced by the min across runs.
     Json merged = currents[0];
+    std::vector<const Json*> runs;
+    for (const Json& run : currents) runs.push_back(&run);
+    merge_min_ms(merged, runs);
     std::vector<Metric> metrics;
     if (!collect(merged, 1.0, &metrics)) return kExitUsage;
     for (Metric& m : metrics) {
@@ -301,8 +332,6 @@ int main(int argc, char** argv) {
       if (!m.group.empty()) node = &node->object[m.group];
       node->object[m.key] = Json::make_number(m.current);
     }
-    if (cur_calib > 0)
-      merged.object["cpu_calib_ms"] = Json::make_number(cur_calib);
     std::ofstream out(baseline_path);
     if (!out) {
       std::fprintf(stderr, "error: cannot write %s\n", baseline_path);

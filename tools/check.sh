@@ -204,6 +204,16 @@ expect 0 "class-shared t_x tables" -- \
   --metrics-out "$OBS_TMP/classes.json"
 grep -qF '"dp.class_memo.edge_hits": 181' "$OBS_TMP/classes.json" \
   || bad "inception_v3 at p = 64 must reuse 181 t_x tables"
+# The most substrategy-table bytes alive at once is structural too. Each
+# cost array is released once its one reader has reduced, so the
+# 1000-block stack at p = 8 peaks at its 4-byte argmins (610 041 slots)
+# plus the few cost arrays still unread.
+expect 0 "table bytes peak" -- \
+  --zoo transformer_stack_1000 --devices 8 --threads 1 \
+  --metrics-out "$OBS_TMP/table_bytes.json"
+grep -qF '"dp.table_bytes_peak": {"count": 1, "sum": 2442600,' \
+  "$OBS_TMP/table_bytes.json" \
+  || bad "transformer_stack_1000 at p = 8 must peak at 2442600 table bytes"
 
 note "Prometheus metrics exposition (--metrics-format prom)"
 expect 0 "prom metrics snapshot" -- \
@@ -403,6 +413,23 @@ if [ -f "$BENCH_BUILD/CMakeCache.txt" ]; then
 fi
 BENCH_SERVE="$BENCH_BUILD/bench/bench_serve"
 BENCH_GATE="$BENCH_BUILD/tools/bench_gate"
+# Refresh self-test: --update merges the minimum over runs of every *_ms
+# field, gated or not, and keeps other fields (counts, rates) from run 1.
+if [ -x "$BENCH_GATE" ]; then
+  printf '%s\n' '{"gated":["t.a.cold_ms"],"t":{"a":{"cold_ms":5,"reduce_ms":9,"qps":10}}}' \
+    > "$OBS_TMP/merge_run1.json"
+  printf '%s\n' '{"gated":["t.a.cold_ms"],"t":{"a":{"cold_ms":6,"reduce_ms":7,"qps":20}}}' \
+    > "$OBS_TMP/merge_run2.json"
+  if "$BENCH_GATE" --update "$OBS_TMP/merge_base.json" \
+       "$OBS_TMP/merge_run1.json" "$OBS_TMP/merge_run2.json" 2> /dev/null \
+     && grep -qF '"a":{"cold_ms":5,"qps":10,"reduce_ms":7}' \
+          "$OBS_TMP/merge_base.json"; then
+    note "ok bench_gate --update self-test (min of every *_ms field)"
+  else
+    bad "bench_gate --update must merge the min over runs of every *_ms \
+field and keep run 1's other fields"
+  fi
+fi
 if [ -x "$BENCH_SERVE" ] && [ -x "$BENCH_GATE" ]; then
   BENCH_RUNS=()
   BENCH_OK=1
