@@ -19,22 +19,24 @@ int main(int argc, char** argv) {
   const MachineSpec machine = MachineSpec::gtx1080ti(p);
   const Graph graph = models::vgg16(64);
 
-  PipelineOptions options;
-  options.stage_counts = {1, 2, 4};
-  options.microbatches = 8;
-  options.solver.cost_params = CostParams::for_machine(machine);
+  DpOptions solver;
+  solver.cost_params = CostParams::for_machine(machine);
+  PipelineSearchOptions popts;
+  popts.stages = 0;  // auto: every power-of-two count dividing p, up to 8
+  popts.microbatches = 8;
 
-  const PipelineResult r = partition_pipeline(graph, machine, options);
+  const PipelinedSearchResult r =
+      find_best_pipelined_strategy(graph, machine, solver, popts);
 
-  std::printf("VGG-16 on %lld GPUs: best partition uses %zu stage(s), %lld "
+  std::printf("VGG-16 on %lld GPUs: best partition uses %lld stage(s), %lld "
               "devices each.\n",
-              static_cast<long long>(p), r.stages.size(),
+              static_cast<long long>(p), static_cast<long long>(r.stages),
               static_cast<long long>(r.devices_per_stage));
   std::printf("Estimated step: %.2f ms pipelined vs %.2f ms pure PaSE.\n\n",
               r.step_seconds * 1e3, r.no_pipeline_seconds * 1e3);
 
-  for (size_t s = 0; s < r.stages.size(); ++s) {
-    const PipelineStage& stage = r.stages[s];
+  for (size_t s = 0; s < r.stage_details.size(); ++s) {
+    const PipelineStage& stage = r.stage_details[s];
     std::printf("Stage %zu: %zu layers (%s .. %s), compute %.2f ms, "
                 "activation handoff %.2f ms\n",
                 s + 1, stage.nodes.size(),

@@ -16,7 +16,6 @@ Ordering generate_seq(const Graph& graph) {
   Ordering out;
   out.seq.reserve(static_cast<size_t>(n));
   out.pos.assign(static_cast<size_t>(n), -1);
-  out.dep_sets.resize(static_cast<size_t>(n));
 
   // v.d <- N(v)  (Fig. 3 line 1), as a sorted vector. A set never holds
   // its own vertex (Fig. 3 excludes it from |v.d|) nor a sequenced one:
@@ -62,9 +61,6 @@ Ordering generate_seq(const Graph& graph) {
         heap.emplace(static_cast<i64>(merged.size()), v);
       dv.swap(merged);
     }
-    // v^(i).d is D(i) (Theorem 2).
-    out.dep_sets[static_cast<size_t>(i)] =
-        std::move(d[static_cast<size_t>(best)]);
   }
   return out;
 }

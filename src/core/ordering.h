@@ -22,11 +22,6 @@ struct Ordering {
   std::vector<NodeId> seq;
   /// pos[v] = position of node v in seq.
   std::vector<i64> pos;
-
-  /// dep_sets[i] = v^(i).d at the moment v^(i) is sequenced (Fig. 3),
-  /// sorted by node id; equal to D(i) by Theorem 2. Only populated by
-  /// generate_seq().
-  std::vector<std::vector<NodeId>> dep_sets;
 };
 
 /// Paper Fig. 3: greedy minimum-|v.d| sequencing. Ties are broken by

@@ -39,17 +39,25 @@ struct IntervalCost {
   i64 max_dependent_set = 0;  ///< and M
 };
 
-}  // namespace
-
-PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
-                                  const PipelineOptions& options) {
+/// The boundary DP over one topological order, for each count in
+/// `stage_counts`: the cut into that many contiguous stages, each on an
+/// equal share of the devices, whose slowest stage is fastest. Fills the
+/// partition fields of `out` with the count of the smallest step (the
+/// first on a tie), and no_pipeline_seconds when 1 is among the counts.
+/// Returns false when no count has a feasible partition: each is too
+/// large for the graph, or every interval solve failed under the memory
+/// filter or the cancellation token.
+bool partition_stages(const Graph& graph, const MachineSpec& m,
+                      const DpOptions& solver,
+                      const std::vector<i64>& stage_counts, i64 microbatches,
+                      PipelinedSearchResult* out) {
   const std::vector<NodeId> topo = graph.topological_order();
   const i64 n = static_cast<i64>(topo.size());
-  const double effective_flops = m.peak_flops * m.compute_efficiency;
+  const CostParams& params = solver.cost_params;
 
   // Candidate boundaries: coarsened so the O(boundaries^2) interval solves
   // stay cheap on 200-node graphs. Boundary b means "first b topo nodes".
-  const i64 granularity = std::max<i64>(1, n / 24);
+  const i64 granularity = std::max<i64>(1, n / kPipelineCuts);
   std::vector<i64> boundaries;
   for (i64 b = 0; b <= n; b += granularity) boundaries.push_back(b);
   if (boundaries.back() != n) boundaries.push_back(n);
@@ -67,12 +75,12 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
                               topo.begin() + boundaries[bj]);
     std::vector<NodeId> remap;
     const Graph sub = induced_subgraph(graph, nodes, remap);
-    DpOptions opt = options.solver;
+    DpOptions opt = solver;
     opt.config_options.max_devices = devices;
     const DpResult r = find_best_strategy(sub, opt);
     if (r.status == DpStatus::kOk) {
       ic.feasible = true;
-      ic.compute_seconds = r.best_cost / effective_flops;
+      ic.compute_seconds = r.best_cost / params.seconds_to_flops;
       ic.strategy = r.strategy;
       ic.max_configs = r.max_configs;
       ic.max_dependent_set = r.max_dependent_set;
@@ -88,16 +96,13 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
     for (const Edge& e : graph.edges())
       if (pos[static_cast<size_t>(e.src)] < boundaries[bj] &&
           pos[static_cast<size_t>(e.dst)] >= boundaries[bj])
-        bytes += static_cast<double>(e.volume()) * 4.0;
+        bytes += static_cast<double>(e.volume()) * params.bytes_per_element;
     return bytes / m.inter_bw() + m.link_latency_s;
   };
 
-  PipelineResult best;
-  best.step_seconds = std::numeric_limits<double>::infinity();
-
-  for (const i64 stages : options.stage_counts) {
-    if (stages < 1 || m.num_devices % stages != 0 || stages > nb - 1)
-      continue;
+  double best_step = std::numeric_limits<double>::infinity();
+  for (const i64 stages : stage_counts) {
+    if (stages > max_pipeline_stages(n)) continue;
     const i64 devices = m.num_devices / stages;
 
     // DP over boundaries: bottleneck[bj][s] = best achievable max stage
@@ -137,17 +142,19 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
     // Steady-state pipeline: all stages overlap across micro-batches, so a
     // step costs one bottleneck interval; fill/drain stretches it.
     const double fill_drain =
-        static_cast<double>(options.microbatches + stages - 1) /
-        static_cast<double>(options.microbatches);
+        static_cast<double>(microbatches + stages - 1) /
+        static_cast<double>(microbatches);
     const double step = bottleneck * fill_drain;
-    if (stages == 1) best.no_pipeline_seconds = step;
-    if (step >= best.step_seconds) continue;
+    if (stages == 1) out->no_pipeline_seconds = step;
+    if (step >= best_step) continue;
 
     // Reconstruct the winning partition.
-    best.step_seconds = step;
-    best.bottleneck_seconds = bottleneck;
-    best.devices_per_stage = devices;
-    best.stages.clear();
+    best_step = step;
+    out->stages = stages;
+    out->devices_per_stage = devices;
+    out->bottleneck_seconds = bottleneck;
+    out->step_seconds = step;
+    out->stage_details.clear();
     std::vector<i64> cuts;
     for (i64 bj = nb - 1, s = stages; s > 0; --s) {
       cuts.push_back(bj);
@@ -166,61 +173,46 @@ PipelineResult partition_pipeline(const Graph& graph, const MachineSpec& m,
       stage.max_dependent_set = ic.max_dependent_set;
       stage.transfer_seconds =
           cuts[k + 1] < nb - 1 ? crossing_seconds(cuts[k + 1]) : 0.0;
-      best.stages.push_back(std::move(stage));
+      out->stage_details.push_back(std::move(stage));
     }
   }
-
-  // Empty stages = no feasible partition: every requested stage count was
-  // skipped (does not divide the device count, or exceeds the boundary
-  // budget) or every interval solve failed (memory filter, cancellation).
-  // Callers must check rather than trust the zeroed timing fields.
-  if (best.stages.empty()) return best;
-  if (best.no_pipeline_seconds == 0.0) {
-    // stage_counts did not include 1; compute the reference separately.
-    DpOptions opt = options.solver;
-    opt.config_options.max_devices = m.num_devices;
-    const DpResult r = find_best_strategy(graph, opt);
-    if (r.status == DpStatus::kOk)
-      best.no_pipeline_seconds = r.best_cost / effective_flops;
-  }
-  return best;
+  return !out->stage_details.empty();
 }
+
+}  // namespace
 
 PipelinedSearchResult find_best_pipelined_strategy(
     const Graph& graph, const MachineSpec& m, const DpOptions& solver,
     const PipelineSearchOptions& popts) {
   PASE_CHECK_MSG(popts.stages >= 0, "stages must be >= 0 (0 = auto)");
   const WallTimer timer;
+  const double seconds_to_flops = solver.cost_params.seconds_to_flops;
+  DpOptions whole = solver;
+  whole.config_options.max_devices = m.num_devices;
   PipelinedSearchResult out;
 
   if (popts.stages == 1) {
     // The disabled-dimension contract: no pipeline axis means the plain
     // solve, bit for bit — same DpResult, nothing recomputed.
-    DpOptions opt = solver;
-    opt.config_options.max_devices = m.num_devices;
-    out.dp = find_best_strategy(graph, opt);
-    const double effective_flops = m.peak_flops * m.compute_efficiency;
+    out.dp = find_best_strategy(graph, whole);
     out.devices_per_stage = m.num_devices;
-    out.no_pipeline_seconds = out.dp.best_cost / effective_flops;
+    out.no_pipeline_seconds = out.dp.best_cost / seconds_to_flops;
     out.bottleneck_seconds = out.no_pipeline_seconds;
     out.step_seconds = out.no_pipeline_seconds;
     return out;
   }
 
-  PipelineOptions options;
-  options.solver = solver;
-  options.microbatches = popts.microbatches;
+  std::vector<i64> stage_counts;
   if (popts.stages == 0) {
-    options.stage_counts.clear();
     for (i64 s = 1; s <= std::min<i64>(m.num_devices, 8); s *= 2)
-      if (m.num_devices % s == 0) options.stage_counts.push_back(s);
+      if (m.num_devices % s == 0) stage_counts.push_back(s);
   } else {
     PASE_CHECK_MSG(m.num_devices % popts.stages == 0,
                    "--pipeline-stages must divide the device count");
-    options.stage_counts = {popts.stages};
+    stage_counts = {popts.stages};
   }
-  PipelineResult pr = partition_pipeline(graph, m, options);
-  if (pr.stages.empty()) {
+  if (!partition_stages(graph, m, solver, stage_counts, popts.microbatches,
+                        &out)) {
     // No stage interval was solvable: either the memory filter rejected
     // every per-stage configuration, or a cancellation token fired while
     // the boundary DP was solving intervals.
@@ -232,12 +224,12 @@ PipelinedSearchResult find_best_pipelined_strategy(
     }
     return out;
   }
-
-  out.stages = static_cast<i64>(pr.stages.size());
-  out.devices_per_stage = pr.devices_per_stage;
-  out.bottleneck_seconds = pr.bottleneck_seconds;
-  out.step_seconds = pr.step_seconds;
-  out.no_pipeline_seconds = pr.no_pipeline_seconds;
+  if (out.no_pipeline_seconds == 0.0) {
+    // The counts did not include 1; solve the single-stage reference.
+    const DpResult r = find_best_strategy(graph, whole);
+    if (r.status == DpStatus::kOk)
+      out.no_pipeline_seconds = r.best_cost / seconds_to_flops;
+  }
 
   // Scatter the per-stage configs back onto original node ids and price
   // the composed strategy with Eq. (1) so the result carries the same
@@ -247,7 +239,7 @@ PipelinedSearchResult find_best_pipelined_strategy(
   out.dp.status = DpStatus::kOk;
   out.dp.threads_used = ThreadPool::resolve(solver.num_threads);
   out.dp.strategy.assign(static_cast<size_t>(graph.num_nodes()), Config());
-  for (const PipelineStage& stage : pr.stages) {
+  for (const PipelineStage& stage : out.stage_details) {
     PASE_CHECK(stage.strategy.size() == stage.nodes.size());
     for (size_t i = 0; i < stage.nodes.size(); ++i)
       out.dp.strategy[static_cast<size_t>(stage.nodes[i])] =
@@ -259,7 +251,6 @@ PipelinedSearchResult find_best_pipelined_strategy(
   const CostModel cost(graph, solver.cost_params);
   out.dp.best_cost = cost.total_cost(out.dp.strategy);
   out.dp.elapsed_seconds = timer.elapsed_seconds();
-  out.stage_details = std::move(pr.stages);
   return out;
 }
 

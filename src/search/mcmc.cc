@@ -4,21 +4,18 @@
 
 #include "util/check.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace pase {
 
-namespace {
-
-/// One Metropolis chain (the seed implementation, unchanged): random node,
-/// random configuration, accept on improvement or with the Boltzmann
-/// probability. Reads `configs`/`cost` concurrently with other chains
-/// (both are const and thread-safe); all mutable state is chain-local.
-McmcResult run_chain(const Graph& graph, const ConfigCache& configs,
-                     const CostModel& cost, const Strategy& initial,
-                     const McmcOptions& options, u64 seed) {
-  Rng rng(seed);
+McmcResult mcmc_search(const Graph& graph,
+                       const ConfigOptions& config_options,
+                       const CostParams& cost_params, const Strategy& initial,
+                       const McmcOptions& options) {
+  WallTimer timer;
+  const ConfigCache configs(graph, config_options);
+  const CostModel cost(graph, cost_params);
+  Rng rng(options.seed);
 
   const auto evaluate = [&](const Strategy& phi) {
     return options.objective ? options.objective(phi)
@@ -43,7 +40,8 @@ McmcResult run_chain(const Graph& graph, const ConfigCache& configs,
         (iter - last_improvement) * 2 > iter)
       break;
 
-    // Propose: random node, random configuration.
+    // Propose: random node, random configuration; accept on improvement or
+    // with the Boltzmann probability.
     const NodeId v =
         static_cast<NodeId>(rng.uniform(static_cast<u64>(graph.num_nodes())));
     const auto& list = configs.at(v);
@@ -77,52 +75,6 @@ McmcResult run_chain(const Graph& graph, const ConfigCache& configs,
   result.iterations = iter;
   // Guard against accumulated floating-point drift in delta mode.
   result.best_cost = evaluate(result.best_strategy);
-  return result;
-}
-
-}  // namespace
-
-McmcResult mcmc_search(const Graph& graph,
-                       const ConfigOptions& config_options,
-                       const CostParams& cost_params, const Strategy& initial,
-                       const McmcOptions& options) {
-  WallTimer timer;
-  const ConfigCache configs(graph, config_options);
-
-  const CostModel cost(graph, cost_params);
-
-  const u64 chains = std::max<u64>(1, options.num_chains);
-  std::vector<McmcResult> per_chain(chains);
-
-  const i64 threads = ThreadPool::resolve(options.num_threads);
-  if (chains > 1 && threads > 1) {
-    ThreadPool pool(threads);
-    // One task per chain; chain c is fully determined by seed + c, so the
-    // assignment of chains to workers cannot influence any result.
-    pool.parallel_for(0, static_cast<i64>(chains), 1, [&](i64 c0, i64 c1) {
-      for (i64 c = c0; c < c1; ++c)
-        per_chain[static_cast<size_t>(c)] =
-            run_chain(graph, configs, cost, initial, options,
-                      options.seed + static_cast<u64>(c));
-    });
-  } else {
-    for (u64 c = 0; c < chains; ++c)
-      per_chain[static_cast<size_t>(c)] = run_chain(
-          graph, configs, cost, initial, options, options.seed + c);
-  }
-
-  // Reduce in chain order: strict less-than keeps the lowest-index winner.
-  McmcResult result = per_chain[0];
-  result.winning_chain = 0;
-  for (u64 c = 1; c < chains; ++c) {
-    if (per_chain[c].best_cost < result.best_cost) {
-      result.best_cost = per_chain[c].best_cost;
-      result.best_strategy = per_chain[c].best_strategy;
-      result.winning_chain = c;
-    }
-    result.iterations += per_chain[c].iterations;
-    result.accepted += per_chain[c].accepted;
-  }
   result.elapsed_seconds = timer.elapsed_seconds();
   return result;
 }

@@ -37,33 +37,21 @@ struct McmcOptions {
   /// Optional custom objective evaluated per candidate (e.g. the
   /// discrete-event simulator's step time — FlexFlow's actual architecture
   /// is exactly MCMC over an execution simulator). When set, it overrides
-  /// the analytical cost function and forces full evaluation. Must be
-  /// thread-safe when num_chains > 1 runs on num_threads > 1.
+  /// the analytical cost function and forces full evaluation. It is called
+  /// on the calling thread only.
   std::function<double(const Strategy&)> objective;
-
-  /// Independent restarts: chain c runs with RNG seed `seed + c`, all from
-  /// the same initial strategy. The best chain wins; ties break toward the
-  /// lower chain index. Because each chain's random walk depends only on
-  /// its own seed, the outcome is bit-identical at any thread count.
-  u64 num_chains = 1;
-  /// Worker threads for the chain fan-out: 1 = sequential (no pool),
-  /// 0 = hardware concurrency, N = exactly N.
-  i64 num_threads = 1;
 };
 
 struct McmcResult {
   double best_cost = 0.0;
   Strategy best_strategy;
-  u64 iterations = 0;  ///< summed over all chains
-  u64 accepted = 0;    ///< summed over all chains
+  u64 iterations = 0;
+  u64 accepted = 0;
   double elapsed_seconds = 0.0;
-  u64 winning_chain = 0;  ///< index of the chain that found best_strategy
 };
 
-/// Runs the MCMC search starting from `initial` (must be valid under
-/// `config_options`). Deterministic for a fixed seed: results are
-/// bit-identical at any num_threads setting (chains are independent and
-/// reduced in chain order).
+/// Runs one Metropolis chain starting from `initial` (must be valid under
+/// `config_options`). Deterministic for a fixed seed.
 McmcResult mcmc_search(const Graph& graph,
                        const ConfigOptions& config_options,
                        const CostParams& cost_params, const Strategy& initial,

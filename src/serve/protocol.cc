@@ -4,6 +4,7 @@
 
 #include "config/config_enum.h"
 #include "hetero/machine_file.h"
+#include "pipeline/pipeline.h"
 #include "serve/json.h"
 
 namespace pase::serve {
@@ -134,10 +135,10 @@ RequestParseResult parse_request(const std::string& line) {
   if (!read_i64(obj, "devices", 1, 1 << 20, devices_fallback, &req.devices,
                 &err) ||
       !read_i64(obj, "beam_width", 1, 1 << 20, 256, &req.beam_width, &err) ||
-      // The pipeline boundary DP coarsens to at most ~24 candidate cuts, so
-      // larger explicit stage counts can never be realized.
-      !read_i64(obj, "pipeline_stages", 0, 24, 1, &req.pipeline_stages,
-                &err) ||
+      // The pipeline boundary DP coarsens to kPipelineCuts candidate cuts,
+      // so larger explicit stage counts can never be realized.
+      !read_i64(obj, "pipeline_stages", 0, kPipelineCuts, 1,
+                &req.pipeline_stages, &err) ||
       !read_i64(obj, "microbatches", 1, 1 << 20, 8, &req.microbatches,
                 &err) ||
       !read_double(obj, "memory_gb", 0.0, 1e9, 0.0, &req.memory_gb, &err) ||

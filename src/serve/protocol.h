@@ -31,8 +31,9 @@
 //                        result-cache entry)
 //   "pipeline_stages": N — inter-stage pipeline dimension: 1 = off (the
 //                        default, bit-identical to a plain solve), 0 =
-//                        auto (search the stage count), N in [2, 24] =
-//                        exactly N stages (must divide "devices")
+//                        auto (search the stage count), N in
+//                        [2, kPipelineCuts] = exactly N stages (must
+//                        divide "devices" and be at most the layer count)
 //   "microbatches": N  — micro-batches in flight for the pipeline
 //                        fill/drain model (default 8)
 //

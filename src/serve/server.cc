@@ -450,7 +450,7 @@ ServeResponse ServeCore::handle_solve(const ServeRequest& req,
 
   // The stage-count/device divisibility check lives in parse_request; the
   // graph-size bound needs the built graph, so it lives here.
-  if (req.pipeline_stages > graph.num_nodes()) {
+  if (req.pipeline_stages > max_pipeline_stages(graph.num_nodes())) {
     resp.code = ResponseCode::kMalformed;
     resp.reason = "pipeline_stages (" + std::to_string(req.pipeline_stages) +
                   ") exceeds the model's layer count (" +

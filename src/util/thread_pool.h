@@ -1,6 +1,6 @@
-// Thread pool used by the search engines (DP solver, exhaustive search,
-// multi-chain MCMC) to fan independent cost evaluations across cores, and
-// by the serving daemon to run admitted solves.
+// Thread pool used by the DP solver to fan its min-plus reduce across
+// cores (the only parallel_for caller), and by the serving daemon to run
+// admitted solves.
 //
 // Thread-safety and determinism contract:
 //  * The pool is one first-in-first-out queue: workers start tasks in the

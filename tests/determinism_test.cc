@@ -1,5 +1,5 @@
-// Determinism contract for the parallel search engines: at every thread
-// count the chosen strategy, its cost and the solver status must be
+// Determinism contract for the parallel DP solver: at every thread count
+// the chosen strategy, its cost and the solver status must be
 // bit-identical to the sequential run (see docs/ARCHITECTURE.md and the
 // contract comments in core/dp_solver.h and util/thread_pool.h).
 #include <gtest/gtest.h>
@@ -11,10 +11,6 @@
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "search/baselines.h"
-#include "search/brute_force.h"
-#include "search/mcmc.h"
-#include "test_util.h"
 
 namespace pase {
 namespace {
@@ -98,49 +94,6 @@ TEST(Determinism, DpSolverCacheDoesNotChangeResults) {
   ASSERT_EQ(a.status, b.status);
   EXPECT_EQ(a.best_cost, b.best_cost);
   EXPECT_EQ(a.strategy, b.strategy);
-}
-
-TEST(Determinism, BruteForceIdenticalAcrossThreadCounts) {
-  const Graph g = testing::random_graph(5, 2, 3);
-  ConfigOptions copts;
-  copts.max_devices = 4;
-  const CostParams params = CostParams::for_machine(MachineSpec::gtx1080ti(4));
-  const auto seq = brute_force_search(g, copts, params, u64{1} << 26, 1);
-  ASSERT_TRUE(seq.has_value());
-  for (const i64 threads : {2, 3, 8}) {
-    const auto par =
-        brute_force_search(g, copts, params, u64{1} << 26, threads);
-    ASSERT_TRUE(par.has_value()) << "threads=" << threads;
-    EXPECT_EQ(par->best_cost, seq->best_cost) << "threads=" << threads;
-    EXPECT_EQ(par->best_strategy, seq->best_strategy)
-        << "threads=" << threads;
-    EXPECT_EQ(par->strategies_evaluated, seq->strategies_evaluated)
-        << "threads=" << threads;
-  }
-}
-
-TEST(Determinism, McmcChainsIdenticalAcrossThreadCounts) {
-  const Graph g = models::alexnet();
-  ConfigOptions copts;
-  copts.max_devices = 8;
-  const CostParams params = CostParams::for_machine(MachineSpec::gtx1080ti(8));
-  const Strategy initial = expert_strategy(g, 8);
-
-  McmcOptions opts;
-  opts.max_iterations = 2000;
-  opts.min_iterations = 500;
-  opts.seed = 17;
-  opts.num_chains = 4;
-
-  opts.num_threads = 1;
-  const McmcResult seq = mcmc_search(g, copts, params, initial, opts);
-  opts.num_threads = 2;
-  const McmcResult par = mcmc_search(g, copts, params, initial, opts);
-
-  EXPECT_EQ(par.best_cost, seq.best_cost);
-  EXPECT_EQ(par.best_strategy, seq.best_strategy);
-  EXPECT_EQ(par.winning_chain, seq.winning_chain);
-  EXPECT_EQ(par.iterations, seq.iterations);
 }
 
 }  // namespace

@@ -12,15 +12,23 @@
 namespace pase {
 namespace {
 
-/// Paper Fig. 3 as written: every step scans the unsequenced vertices in
-/// id order for the first strictly smaller |v.d| (the vertex's own entry
-/// excluded), then merges on dense bitsets — O(|V|^3 / 64). generate_seq
-/// must reproduce it exactly.
-Ordering fig3_scan(const Graph& graph) {
+/// Paper Fig. 3 as written, with the v.d set of each vertex as it is
+/// sequenced: by Theorem 2, dep_sets[i] is D(i).
+struct Fig3Scan {
+  Ordering order;
+  std::vector<std::vector<NodeId>> dep_sets;  ///< sorted by node id
+};
+
+/// Every step scans the unsequenced vertices in id order for the first
+/// strictly smaller |v.d| (the vertex's own entry excluded), then merges on
+/// dense bitsets — O(|V|^3 / 64). generate_seq must reproduce its order
+/// exactly.
+Fig3Scan fig3_scan(const Graph& graph) {
   const i64 n = graph.num_nodes();
-  Ordering out;
+  Fig3Scan scan;
+  Ordering& out = scan.order;
   out.pos.assign(static_cast<size_t>(n), -1);
-  out.dep_sets.resize(static_cast<size_t>(n));
+  scan.dep_sets.resize(static_cast<size_t>(n));
   std::vector<Bitset> d(static_cast<size_t>(n));
   for (NodeId v = 0; v < n; ++v)
     d[static_cast<size_t>(v)] = graph.neighbor_set(v);
@@ -43,7 +51,7 @@ Ordering fig3_scan(const Graph& graph) {
     unsequenced.reset(best);
     d[static_cast<size_t>(best)].reset(best);
     d[static_cast<size_t>(best)].for_each([&](i64 v) {
-      out.dep_sets[static_cast<size_t>(i)].push_back(static_cast<NodeId>(v));
+      scan.dep_sets[static_cast<size_t>(i)].push_back(static_cast<NodeId>(v));
     });
     const Bitset merged = d[static_cast<size_t>(best)];
     merged.for_each([&](i64 v) {
@@ -51,7 +59,7 @@ Ordering fig3_scan(const Graph& graph) {
       d[static_cast<size_t>(v)].reset(best);
     });
   }
-  return out;
+  return scan;
 }
 
 /// Component roots by covered-set walk: downwards from the last position,
@@ -77,14 +85,19 @@ Graph disjoint_union(const Graph& a, const Graph& b) {
   return g;
 }
 
-/// generate_seq equals the Fig. 3 scan, and under both orderings the
-/// one-pass D(i), S(i) and roots equal their DFS definitions.
+/// generate_seq equals the Fig. 3 scan (D(i) is a function of the
+/// sequence, so equal sequences have equal dependent sets), the scan's v.d
+/// sets satisfy Theorem 2, and under both orderings the one-pass D(i),
+/// S(i) and roots equal their DFS definitions.
 void expect_matches_oracles(const Graph& g) {
   const Ordering o = generate_seq(g);
-  const Ordering scan = fig3_scan(g);
-  ASSERT_EQ(o.seq, scan.seq);
-  ASSERT_EQ(o.pos, scan.pos);
-  ASSERT_EQ(o.dep_sets, scan.dep_sets);
+  const Fig3Scan scan = fig3_scan(g);
+  ASSERT_EQ(o.seq, scan.order.seq);
+  ASSERT_EQ(o.pos, scan.order.pos);
+  for (i64 i = 0; i < g.num_nodes(); ++i)  // Theorem 2
+    ASSERT_EQ(scan.dep_sets[static_cast<size_t>(i)],
+              compute_vertex_sets(g, scan.order, i).dependent)
+        << "position " << i;
   for (const Ordering& order : {o, breadth_first(g)}) {
     const AllVertexSets all = compute_all_vertex_sets(g, order);
     for (i64 i = 0; i < g.num_nodes(); ++i) {
@@ -139,21 +152,15 @@ TEST(Ordering, DeterministicAcrossRuns) {
   EXPECT_EQ(breadth_first(g).seq, breadth_first(g).seq);
 }
 
-// Theorem 2: the v.d sets maintained incrementally by GenerateSeq equal the
-// definitional dependent sets D(i) computed by DFS. Each parameter also
-// checks a block of 25 more seeded graphs against the oracles above — 300
-// in all, of 4 to 20 nodes, every fifth one joined by a second graph it
-// shares no edge with.
+// Theorem 2: the v.d sets Fig. 3 maintains incrementally equal the
+// definitional dependent sets D(i) computed by DFS, and GenerateSeq's
+// sequence is Fig. 3's. Each parameter also checks a block of 25 more
+// seeded graphs against the oracles above — 300 in all, of 4 to 20 nodes,
+// every fifth one joined by a second graph it shares no edge with.
 class Theorem2Sweep : public ::testing::TestWithParam<u64> {};
 
 TEST_P(Theorem2Sweep, GenerateSeqDepSetsMatchDefinition) {
-  const Graph g = testing::random_graph(10, 6, GetParam());
-  const Ordering o = generate_seq(g);
-  for (i64 i = 0; i < g.num_nodes(); ++i) {
-    const VertexSets s = compute_vertex_sets(g, o, i);
-    EXPECT_EQ(o.dep_sets[static_cast<size_t>(i)], s.dependent)
-        << "position " << i;
-  }
+  expect_matches_oracles(testing::random_graph(10, 6, GetParam()));
 
   constexpr u64 kSeedsPerParam = 25;
   for (u64 k = 0; k < kSeedsPerParam; ++k) {
@@ -177,14 +184,7 @@ TEST(Ordering, Theorem2OnPaperBenchmarks) {
         "transformer_pipelined", "transformer_stack_50",
         "transformer_stack_250"}) {
     SCOPED_TRACE(name);
-    const Graph g = *models::zoo_graph(name);
-    const Ordering o = generate_seq(g);
-    for (i64 i = 0; i < g.num_nodes(); ++i) {
-      const VertexSets s = compute_vertex_sets(g, o, i);
-      ASSERT_EQ(o.dep_sets[static_cast<size_t>(i)], s.dependent)
-          << name << " position " << i;
-    }
-    expect_matches_oracles(g);
+    expect_matches_oracles(*models::zoo_graph(name));
   }
 }
 
@@ -238,7 +238,8 @@ TEST(Ordering, SingleNodeGraph) {
   g.add_node(ops::fully_connected("only", 4, 4, 4));
   const Ordering o = generate_seq(g);
   ASSERT_EQ(o.seq.size(), 1u);
-  EXPECT_TRUE(o.dep_sets[0].empty());
+  EXPECT_TRUE(compute_vertex_sets(g, o, 0).dependent.empty());
+  expect_matches_oracles(g);
 }
 
 }  // namespace

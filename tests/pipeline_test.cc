@@ -11,13 +11,6 @@
 namespace pase {
 namespace {
 
-PipelineOptions popts(const MachineSpec& m, std::vector<i64> stage_counts) {
-  PipelineOptions o;
-  o.stage_counts = std::move(stage_counts);
-  o.solver.cost_params = CostParams::for_machine(m);
-  return o;
-}
-
 TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
   const Graph g = models::alexnet();
   std::vector<NodeId> remap;
@@ -67,72 +60,6 @@ TEST(DpSolver, HandlesDisconnectedGraphs) {
   for (const Config& c : r.strategy) EXPECT_GT(c.rank(), 0);
 }
 
-TEST(Pipeline, SingleStageEqualsPureStrategySearch) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::alexnet();
-  const PipelineResult r = partition_pipeline(g, m, popts(m, {1}));
-  ASSERT_EQ(r.stages.size(), 1u);
-  EXPECT_EQ(r.devices_per_stage, 8);
-  EXPECT_DOUBLE_EQ(r.step_seconds, r.no_pipeline_seconds);
-  EXPECT_EQ(static_cast<i64>(r.stages[0].nodes.size()), g.num_nodes());
-}
-
-TEST(Pipeline, StagesPartitionTheGraph) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::vgg16(32);
-  const PipelineResult r = partition_pipeline(g, m, popts(m, {2}));
-  ASSERT_EQ(r.stages.size(), 2u);
-  std::set<NodeId> seen;
-  for (const auto& s : r.stages) {
-    EXPECT_EQ(static_cast<i64>(s.strategy.size()),
-              static_cast<i64>(s.nodes.size()));
-    for (NodeId v : s.nodes) EXPECT_TRUE(seen.insert(v).second);
-  }
-  EXPECT_EQ(static_cast<i64>(seen.size()), g.num_nodes());
-  EXPECT_EQ(r.devices_per_stage, 4);
-}
-
-TEST(Pipeline, BottleneckIsMaxStageTime) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::vgg16(32);
-  const PipelineResult r = partition_pipeline(g, m, popts(m, {2}));
-  double max_stage = 0.0;
-  for (const auto& s : r.stages) max_stage = std::max(max_stage, s.seconds());
-  EXPECT_NEAR(r.bottleneck_seconds, max_stage, 1e-12);
-  EXPECT_GE(r.step_seconds, r.bottleneck_seconds);  // fill/drain overhead
-}
-
-TEST(Pipeline, PicksBestStageCount) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::alexnet();
-  const PipelineResult best =
-      partition_pipeline(g, m, popts(m, {1, 2, 4}));
-  for (const i64 s : {1LL, 2LL, 4LL}) {
-    const PipelineResult single = partition_pipeline(g, m, popts(m, {s}));
-    EXPECT_LE(best.step_seconds, single.step_seconds * (1 + 1e-9))
-        << "stages=" << s;
-  }
-}
-
-TEST(Pipeline, MoreMicrobatchesShrinkFillDrainOverhead) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::vgg16(32);
-  PipelineOptions few = popts(m, {4});
-  few.microbatches = 2;
-  PipelineOptions many = popts(m, {4});
-  many.microbatches = 64;
-  EXPECT_GT(partition_pipeline(g, m, few).step_seconds,
-            partition_pipeline(g, m, many).step_seconds);
-}
-
-TEST(Pipeline, InvalidStageCountsSkipped) {
-  const MachineSpec m = MachineSpec::gtx1080ti(8);
-  const Graph g = models::alexnet();
-  // 3 does not divide 8; only the 1-stage variant is feasible.
-  const PipelineResult r = partition_pipeline(g, m, popts(m, {3, 1}));
-  EXPECT_EQ(r.stages.size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // The searched pipeline-stage dimension (find_best_pipelined_strategy):
 // the path --pipeline-stages and the serve protocol use.
@@ -142,6 +69,14 @@ DpOptions search_solver(const MachineSpec& m) {
   o.config_options.max_devices = m.num_devices;
   o.cost_params = CostParams::for_machine(m);
   return o;
+}
+
+PipelinedSearchResult search(const Graph& g, const MachineSpec& m,
+                             i64 stages, i64 microbatches = 8) {
+  PipelineSearchOptions popts;
+  popts.stages = stages;
+  popts.microbatches = microbatches;
+  return find_best_pipelined_strategy(g, m, search_solver(m), popts);
 }
 
 TEST(PipelineSearch, SingleStageIsBitIdenticalToFindBestStrategy) {
@@ -168,10 +103,7 @@ TEST(PipelineSearch, SingleStageIsBitIdenticalToFindBestStrategy) {
 TEST(PipelineSearch, ExplicitStageCountIsRespected) {
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   const Graph g = *models::zoo_graph("transformer_pipelined");
-  PipelineSearchOptions popts;
-  popts.stages = 4;
-  const PipelinedSearchResult r =
-      find_best_pipelined_strategy(g, m, search_solver(m), popts);
+  const PipelinedSearchResult r = search(g, m, 4);
   ASSERT_EQ(r.dp.status, DpStatus::kOk);
   EXPECT_EQ(r.stages, 4);
   EXPECT_EQ(r.devices_per_stage, 2);
@@ -193,17 +125,10 @@ TEST(PipelineSearch, ExplicitStageCountIsRespected) {
 TEST(PipelineSearch, AutoNeverLosesToAnyFixedStageCount) {
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   const Graph g = *models::zoo_graph("transformer_pipelined");
-  PipelineSearchOptions auto_popts;
-  auto_popts.stages = 0;
-  const PipelinedSearchResult best =
-      find_best_pipelined_strategy(g, m, search_solver(m), auto_popts);
+  const PipelinedSearchResult best = search(g, m, 0);
   ASSERT_EQ(best.dp.status, DpStatus::kOk);
   for (const i64 n : {1LL, 2LL, 4LL, 8LL}) {
-    PipelineSearchOptions popts;
-    popts.stages = n;
-    const PipelinedSearchResult fixed =
-        find_best_pipelined_strategy(g, m, search_solver(m), popts);
-    EXPECT_LE(best.step_seconds, fixed.step_seconds * (1 + 1e-9))
+    EXPECT_LE(best.step_seconds, search(g, m, n).step_seconds * (1 + 1e-9))
         << "stages=" << n;
   }
 }
@@ -250,16 +175,13 @@ TEST(PipelineSearch, SearchedStageCountCarriesSolveStats) {
 }
 
 TEST(PipelineSearch, InfeasiblePartitionReportsInfeasibleNotAbort) {
-  // Tiny graph, 8 devices, 8 stages requested: the boundary budget admits
-  // at most num_nodes stages, so no partition exists. The searched path
-  // must report kInfeasible instead of aborting the process.
+  // Tiny graph, 8 devices, 8 stages requested: a stage holds at least one
+  // node, so no partition exists. The searched path must report
+  // kInfeasible instead of aborting the process.
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   const Graph g = models::mlp(32, {64, 64});
-  ASSERT_LT(g.num_nodes(), 8);
-  PipelineSearchOptions popts;
-  popts.stages = 8;
-  const PipelinedSearchResult r =
-      find_best_pipelined_strategy(g, m, search_solver(m), popts);
+  ASSERT_LT(max_pipeline_stages(g.num_nodes()), 8);
+  const PipelinedSearchResult r = search(g, m, 8);
   EXPECT_EQ(r.dp.status, DpStatus::kInfeasible);
   EXPECT_TRUE(r.dp.strategy.empty());
 }
@@ -271,15 +193,14 @@ TEST(PipelineSearch, SharedCostCacheDoesNotChangeStageSolves) {
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   for (const char* name : {"alexnet", "transformer_pipelined"}) {
     const Graph g = *models::zoo_graph(name);
-    PipelineSearchOptions popts;
-    popts.stages = 2;
-    const PipelinedSearchResult plain =
-        find_best_pipelined_strategy(g, m, search_solver(m), popts);
+    const PipelinedSearchResult plain = search(g, m, 2);
     MetricsRegistry reg;
     DpOptions served = search_solver(m);
     served.metrics = &reg;
     served.num_threads = 2;
     served.degraded_fallback = true;
+    PipelineSearchOptions popts;
+    popts.stages = 2;
     const PipelinedSearchResult cached =
         find_best_pipelined_strategy(g, m, served, popts);
     ASSERT_EQ(plain.dp.status, DpStatus::kOk) << name;
@@ -293,22 +214,98 @@ TEST(PipelineSearch, ComposedCostMatchesCostModelTotal) {
   // composed strategy — the same number serve's verify-on-hit recomputes.
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   const Graph g = *models::zoo_graph("transformer_pipelined");
-  const DpOptions solver = search_solver(m);
-  PipelineSearchOptions popts;
-  popts.stages = 2;
-  const PipelinedSearchResult r =
-      find_best_pipelined_strategy(g, m, solver, popts);
+  const PipelinedSearchResult r = search(g, m, 2);
   ASSERT_EQ(r.dp.status, DpStatus::kOk);
   ASSERT_EQ(r.stages, 2);
-  const CostModel cm(g, solver.cost_params);
+  const CostModel cm(g, search_solver(m).cost_params);
   EXPECT_DOUBLE_EQ(r.dp.best_cost, cm.total_cost(r.dp.strategy));
 }
 
+TEST(PipelineSearch, SecondsUseTheCostModelsFlopScale) {
+  // Eq. (1) prices compute in FLOPs of the weakest device
+  // (CostParams::seconds_to_flops); on a mixed cluster that is not the
+  // fastest device's peak, and every seconds field must use the same
+  // scale as the crossing times it is compared with.
+  const MachineSpec m = MachineSpec::mixed_cluster(8);
+  const Graph g = *models::zoo_graph("transformer_pipelined");
+  const DpOptions solver = search_solver(m);
+  ASSERT_NE(solver.cost_params.seconds_to_flops,
+            m.peak_flops * m.compute_efficiency);
+  const DpResult plain = find_best_strategy(g, solver);
+  ASSERT_EQ(plain.status, DpStatus::kOk);
+  for (const i64 stages : {1LL, 2LL}) {
+    const PipelinedSearchResult r = search(g, m, stages);
+    ASSERT_EQ(r.dp.status, DpStatus::kOk) << "stages=" << stages;
+    EXPECT_EQ(r.no_pipeline_seconds,
+              plain.best_cost / solver.cost_params.seconds_to_flops)
+        << "stages=" << stages;
+  }
+}
+
+TEST(Pipeline, SingleStageEqualsPureStrategySearch) {
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  const Graph g = models::alexnet();
+  const PipelinedSearchResult r = search(g, m, 1);
+  ASSERT_EQ(r.dp.status, DpStatus::kOk);
+  EXPECT_EQ(r.stages, 1);
+  EXPECT_EQ(r.devices_per_stage, 8);
+  EXPECT_DOUBLE_EQ(r.step_seconds, r.no_pipeline_seconds);
+  EXPECT_EQ(static_cast<i64>(r.dp.strategy.size()), g.num_nodes());
+}
+
+TEST(Pipeline, StagesPartitionTheGraph) {
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  const Graph g = models::vgg16(32);
+  const PipelinedSearchResult r = search(g, m, 2);
+  ASSERT_EQ(r.stage_details.size(), 2u);
+  std::set<NodeId> seen;
+  for (const auto& s : r.stage_details) {
+    EXPECT_EQ(static_cast<i64>(s.strategy.size()),
+              static_cast<i64>(s.nodes.size()));
+    for (NodeId v : s.nodes) EXPECT_TRUE(seen.insert(v).second);
+  }
+  EXPECT_EQ(static_cast<i64>(seen.size()), g.num_nodes());
+  EXPECT_EQ(r.devices_per_stage, 4);
+}
+
+TEST(Pipeline, BottleneckIsMaxStageTime) {
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  const Graph g = models::vgg16(32);
+  const PipelinedSearchResult r = search(g, m, 2);
+  ASSERT_EQ(r.stage_details.size(), 2u);
+  double max_stage = 0.0;
+  for (const auto& s : r.stage_details) {
+    max_stage = std::max(max_stage, s.seconds());
+  }
+  EXPECT_NEAR(r.bottleneck_seconds, max_stage, 1e-12);
+  EXPECT_GE(r.step_seconds, r.bottleneck_seconds);  // fill/drain overhead
+}
+
+TEST(Pipeline, PicksBestStageCount) {
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  const Graph g = models::alexnet();
+  const PipelinedSearchResult best = search(g, m, 0);
+  ASSERT_EQ(best.dp.status, DpStatus::kOk);
+  for (const i64 s : {1LL, 2LL, 4LL}) {
+    EXPECT_LE(best.step_seconds, search(g, m, s).step_seconds * (1 + 1e-9))
+        << "stages=" << s;
+  }
+}
+
+TEST(Pipeline, MoreMicrobatchesShrinkFillDrainOverhead) {
+  const MachineSpec m = MachineSpec::gtx1080ti(8);
+  const Graph g = models::vgg16(32);
+  EXPECT_GT(search(g, m, 4, 2).step_seconds,
+            search(g, m, 4, 64).step_seconds);
+}
+
 TEST(Pipeline, WorksOnBranchyGraphs) {
+  // ResNet-50's skip connections cross the stage cuts.
   const MachineSpec m = MachineSpec::gtx1080ti(8);
   const Graph g = models::resnet50(32);
-  const PipelineResult r = partition_pipeline(g, m, popts(m, {1, 2}));
-  EXPECT_FALSE(r.stages.empty());
+  const PipelinedSearchResult r = search(g, m, 2);
+  ASSERT_EQ(r.dp.status, DpStatus::kOk);
+  EXPECT_EQ(r.stage_details.size(), 2u);
   EXPECT_GT(r.step_seconds, 0.0);
 }
 

@@ -5,18 +5,11 @@
 //   bench_gate --update BASELINE CURRENT...
 //
 // Compares fresh bench runs (one or more CURRENT files) against a
-// checked-in baseline. Two baseline schemas:
-//
-//   - self-describing (BENCH_table1.json): the baseline carries a
-//     top-level "gated" array of dotted metric paths ("section.key" or
-//     "section.group.key"); exactly those numeric leaves are gated, so a
-//     new bench binary adds gated fields without touching this tool;
-//   - legacy bench_serve (BENCH_serve.json): every per-model
-//     `cached_p50_ms` and `cached_p99_ms` under "models", plus the burst
-//     `p50_ms`. Cold-solve times and the burst p99 are NOT gated: cold
-//     times are dominated by one-off allocation noise, and the burst p99
-//     lands on whichever cold solve was slowest — the cached-hit
-//     distribution is what the serve SLO promises.
+// checked-in baseline. The baseline names what it gates: a top-level
+// "gated" array of dotted metric paths ("section.key" or
+// "section.group.key"); exactly those numeric leaves are gated. Each bench
+// binary emits its own list, so a new bench adds gated fields without
+// touching this tool, and --update keeps the list.
 //
 // Statistic: the element-wise MINIMUM across the CURRENT files. The
 // minimum over repeated runs prices the code's uncontended cost — the
@@ -84,18 +77,16 @@ void print_usage(std::FILE* out, const char* argv0) {
       "       %s --update BASELINE CURRENT...\n"
       "\n"
       "Diffs bench runs (element-wise min over the CURRENT files) against\n"
-      "the checked-in BASELINE. Gated: the baseline's top-level \"gated\"\n"
-      "path list when present (BENCH_table1.json), else the bench_serve\n"
-      "schema — per-model cached_p50_ms / cached_p99_ms and burst p50_ms\n"
-      "(BENCH_serve.json). Fails on\n"
-      "current/baseline > 1 + R (default 0.25, regression) or <\n"
-      "stale-ratio (default 0.65, stale baseline). p99 metrics get\n"
-      "--tail-slack-ms (default 5) of absolute headroom and skip the\n"
-      "stale side. --scale-baseline F multiplies baseline values by F\n"
-      "first (gate self-test hook). --update instead writes the first\n"
-      "CURRENT file to BASELINE with each gated metric, and each *_ms\n"
-      "field every run has, replaced by its minimum over the CURRENT\n"
-      "files (the PASE_UPDATE_BENCH refresh path in tools/check.sh).\n",
+      "the checked-in BASELINE, on the paths its top-level \"gated\" list\n"
+      "names. Fails on current/baseline > 1 + R (default 0.25,\n"
+      "regression) or < stale-ratio (default 0.65, stale baseline).\n"
+      "p99 metrics get --tail-slack-ms (default 5) of absolute headroom\n"
+      "and skip the stale side. --scale-baseline F multiplies baseline\n"
+      "values by F first (gate self-test hook). --update instead writes\n"
+      "the first CURRENT file to BASELINE with each gated metric, and\n"
+      "each *_ms field every run has, replaced by its minimum over the\n"
+      "CURRENT files (the PASE_UPDATE_BENCH refresh path in\n"
+      "tools/check.sh).\n",
       argv0, argv0);
 }
 
@@ -143,73 +134,50 @@ const Json* find_leaf(const Json& run, const Metric& m) {
   return v && v->is_number() ? v : nullptr;
 }
 
-/// Fills the gated metric list from the baseline. Two schemas:
-///   - self-describing: a top-level "gated" array of dotted paths
-///     ("section.key" or "section.group.key"); BENCH_table1.json uses
-///     this, so new benches gate new fields without touching this tool;
-///   - legacy bench_serve: per-model cached_p50_ms/cached_p99_ms under
-///     "models" plus the burst p50_ms.
-/// Returns false if a "gated" path is malformed or missing from the
+/// Fills the gated metric list from the baseline's top-level "gated" array
+/// of dotted paths ("section.key" or "section.group.key"). Returns false
+/// if the array is missing, or a path is malformed or missing from the
 /// baseline (a renamed field must come with a baseline refresh).
 bool collect(const Json& baseline, double scale,
              std::vector<Metric>* metrics) {
   const Json* gated = baseline.get("gated");
-  if (gated && gated->is_array()) {
-    for (const Json& entry : gated->array) {
-      if (!entry.is_string()) {
-        std::fprintf(stderr, "error: non-string entry in \"gated\"\n");
-        return false;
-      }
-      Metric m;
-      m.name = entry.string;
-      const size_t dot1 = m.name.find('.');
-      const size_t dot2 =
-          dot1 == std::string::npos ? dot1 : m.name.find('.', dot1 + 1);
-      if (dot1 == std::string::npos) {
-        std::fprintf(stderr, "error: gated path '%s' has no '.'\n",
-                     m.name.c_str());
-        return false;
-      }
-      m.section = m.name.substr(0, dot1);
-      if (dot2 == std::string::npos) {
-        m.key = m.name.substr(dot1 + 1);
-      } else {
-        m.group = m.name.substr(dot1 + 1, dot2 - dot1 - 1);
-        m.key = m.name.substr(dot2 + 1);
-      }
-      const Json* leaf = find_leaf(baseline, m);
-      if (!leaf) {
-        std::fprintf(stderr,
-                     "error: gated path '%s' is not a number in the "
-                     "baseline\n",
-                     m.name.c_str());
-        return false;
-      }
-      m.baseline = leaf->number * scale;
-      metrics->push_back(std::move(m));
-    }
-    return true;
+  if (!gated || !gated->is_array()) {
+    std::fprintf(stderr, "error: baseline has no \"gated\" array\n");
+    return false;
   }
-  auto add = [&](const std::string& group, const std::string& key,
-                 const Json* leaf) {
-    if (!leaf || !leaf->is_number()) return;
+  for (const Json& entry : gated->array) {
+    if (!entry.is_string()) {
+      std::fprintf(stderr, "error: non-string entry in \"gated\"\n");
+      return false;
+    }
     Metric m;
-    m.section = group.empty() ? "burst" : "models";
-    m.group = group;
-    m.key = key;
-    m.name = group.empty() ? "burst." + key : "models." + group + "." + key;
+    m.name = entry.string;
+    const size_t dot1 = m.name.find('.');
+    const size_t dot2 =
+        dot1 == std::string::npos ? dot1 : m.name.find('.', dot1 + 1);
+    if (dot1 == std::string::npos) {
+      std::fprintf(stderr, "error: gated path '%s' has no '.'\n",
+                   m.name.c_str());
+      return false;
+    }
+    m.section = m.name.substr(0, dot1);
+    if (dot2 == std::string::npos) {
+      m.key = m.name.substr(dot1 + 1);
+    } else {
+      m.group = m.name.substr(dot1 + 1, dot2 - dot1 - 1);
+      m.key = m.name.substr(dot2 + 1);
+    }
+    const Json* leaf = find_leaf(baseline, m);
+    if (!leaf) {
+      std::fprintf(stderr,
+                   "error: gated path '%s' is not a number in the "
+                   "baseline\n",
+                   m.name.c_str());
+      return false;
+    }
     m.baseline = leaf->number * scale;
     metrics->push_back(std::move(m));
-  };
-  const Json* models = baseline.get("models");
-  if (models && models->is_object()) {
-    for (const auto& [model, entry] : models->object) {
-      add(model, "cached_p50_ms", entry.get("cached_p50_ms"));
-      add(model, "cached_p99_ms", entry.get("cached_p99_ms"));
-    }
   }
-  const Json* burst = baseline.get("burst");
-  if (burst) add("", "p50_ms", burst->get("p50_ms"));
   return true;
 }
 

@@ -472,8 +472,9 @@ int main(int argc, char** argv) {
   const FaultModel fault_model(fault_spec, static_cast<u64>(fault_seed));
 
   // The pipeline boundary DP splits devices evenly across stages and cuts a
-  // coarsened boundary set (at most ~24 candidate cuts on large graphs), so
-  // an explicit stage count must divide the device count and fit the graph.
+  // coarsened boundary set (kPipelineCuts candidate cuts on large graphs),
+  // so an explicit stage count must divide the device count and fit the
+  // graph.
   if (pipeline_stages >= 2) {
     if (devices % pipeline_stages != 0) {
       std::fprintf(stderr,
@@ -483,15 +484,16 @@ int main(int argc, char** argv) {
                    static_cast<long long>(devices));
       return kExitUsage;
     }
-    const i64 max_stages = std::min<i64>(graph.num_nodes(), 24);
+    const i64 max_stages = max_pipeline_stages(graph.num_nodes());
     if (pipeline_stages > max_stages) {
       std::fprintf(stderr,
                    "error: --pipeline-stages %lld exceeds the supported "
-                   "maximum of %lld for this model (%lld layers, at most 24 "
-                   "stages)\n",
+                   "maximum of %lld for this model (%lld layers, at most "
+                   "%lld stages)\n",
                    static_cast<long long>(pipeline_stages),
                    static_cast<long long>(max_stages),
-                   static_cast<long long>(graph.num_nodes()));
+                   static_cast<long long>(graph.num_nodes()),
+                   static_cast<long long>(kPipelineCuts));
       return kExitUsage;
     }
   }
