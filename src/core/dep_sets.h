@@ -7,9 +7,11 @@
 //
 // Thread safety: these are pure functions of (graph, order) — no shared
 // mutable state, no caching. Concurrent calls on the same graph/ordering
-// are safe. Dependent sets are sorted by node id; the DP solver relies on
-// that order when laying out its dense mixed-radix substrategy tables (see
-// dp_solver.cc), so it is part of this interface's contract.
+// are safe. Dependent sets are sorted by node id, part of this interface's
+// contract: the DP solver binary-searches them for membership and orders
+// the digits after a table's first by them. It does not lay tables out in
+// node-id order: the digit of the one vertex that reads a table comes
+// first (see dp_solver.cc).
 #pragma once
 
 #include <vector>

@@ -32,23 +32,23 @@ std::string fmt_count(double v) {
 /// Per-position DP state kept alive for anchor lookups and extraction.
 ///
 /// The substrategy table R(i, .) is two dense arrays indexed by the
-/// mixed-radix rank of phi: dependent[0] is the fastest-varying digit
-/// (stride 1), matching the odometer enumeration order, so an entry's index
-/// is sum_k cur_idx[dependent[k]] * stride[k]. Dense indexing replaces the
-/// seed's hash-map tables: every phi in the cross product is materialized
-/// anyway, and a rank computation is cheaper than hashing a key vector —
-/// and it gives each parallel worker a distinct, pre-sized slot to write,
-/// which is what makes the threaded fan-out race-free and deterministic.
+/// mixed-radix rank of phi: an entry's index is
+/// sum_k cur_idx[dependent[k]] * stride[k]. Its one reader, the consumer,
+/// is the later vertex v^(c) whose S(.) holds X(i); v^(c) is the member of
+/// D(i) with the lowest position. Its digit is at stride 1, the others
+/// follow in node-id order, so the consumer reads the |C(v^(c))| entries
+/// of one phi of its own as one contiguous column. Dense indexing gives
+/// each parallel worker a distinct, pre-sized slot to write, which is what
+/// makes the threaded fan-out race-free and deterministic.
 ///
-/// `cost` holds R(i, phi) and has one reader: the later vertex whose S(.)
-/// holds X(i), which releases it once its reduce has read it. `argmin`
-/// holds v^(i)'s minimizing configuration index, the one thing
-/// back-substitution reads, and lives to the end of the solve. A root's
-/// one-slot cost array is never released: it is the answer.
+/// `cost` holds R(i, phi); the consumer releases it once its reduce has
+/// read it. `argmin` holds v^(i)'s minimizing configuration index, the one
+/// thing back-substitution reads, and lives to the end of the solve. A
+/// root's one-slot cost array is never released: it is the answer.
 struct PositionState {
   std::vector<NodeId> dependent;  ///< D(i), sorted by node id
   std::vector<i64> anchors;       ///< S(i) anchor positions
-  std::vector<u64> stride;        ///< mixed-radix strides, stride[0] = 1
+  std::vector<u64> stride;        ///< dependent[k]'s stride in the table
   u64 size = 0;                   ///< prod_k |C(dependent[k])|
   std::unique_ptr<double[]> cost;  ///< [size], until its consumer reduced
   std::unique_ptr<u32[]> argmin;   ///< [size]
@@ -85,11 +85,32 @@ void extract(const std::vector<PositionState>& states,
   }
 }
 
-/// A reduce worker's own mutable state: the configuration index per node,
-/// the odometer over D(i), and the |C(v^(i))| accumulator.
+/// The min-plus reduce of one vertex v^(i) as one loop nest over D(i),
+/// built on the calling thread and only read by the workers. A stream is
+/// one term of the sum that depends on phi — a later edge's t_x matrix (in
+/// incident order) or an anchor's cost array (in S(i) order) — and phi
+/// selects one contiguous |C(v^(i))| column of it at an offset; stream `ns`
+/// (one past the last) is the output slot. The odometer's digit 0 is the
+/// innermost; streams [0, split) do not depend on it, so their sum, after
+/// 0.0 + t_l, is the prefix added once per block of that digit's radix.
+struct ReducePlan {
+  std::vector<const double*> base;  ///< per stream
+  size_t split = 0;
+  std::vector<u32> radix;  ///< per odometer digit, innermost first
+  /// [m * (ns + 1) + s]: stream s's offset step for odometer digit m.
+  std::vector<u64> step;
+  /// [m * (ns + 1) + s], m >= 1: stream s's offset change (mod 2^64) when
+  /// digit 0 has run a whole block, digits 1..m-1 wrap and digit m
+  /// advances.
+  std::vector<u64> carry;
+};
+
+/// A reduce worker's own mutable state: the odometer, the stream offsets,
+/// the block prefix and the |C(v^(i))| accumulator.
 struct ReduceScratch {
-  std::vector<u32> cur;
   std::vector<u32> odo;
+  std::vector<u64> off;
+  std::vector<double> pre;
   std::vector<double> acc;
 };
 
@@ -610,17 +631,15 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
   std::atomic<bool> cancel{false};
 
   // Scratch reused from vertex to vertex: the vertex's prices, the radix
-  // |C(dependent[k])| of its table, its anchors, and the calling thread's
-  // reduce state (whose `cur` back-substitution reuses).
+  // |C(dependent[k])| of its table, its reduce plan and the calling
+  // thread's reduce state. `cur`, back-substitution's configuration index
+  // per node, is allocated here, before any table, so it does not pin the
+  // heap above them.
   VertexPrices prices;
   std::vector<u32> radix;
-  struct Anchor {
-    const PositionState* state;
-    u64 vi_stride;  ///< v^(i)'s stride in the anchor's table
-  };
-  std::vector<Anchor> anchors;
+  ReducePlan plan;
   ReduceScratch seq;
-  seq.cur.assign(static_cast<size_t>(n), 0);
+  std::vector<u32> cur(static_cast<size_t>(n), 0);
   for (i64 i = 0; i < n && !trip; ++i) {
     if (const auto cause = abort_cause(); cause != DpResult::TripCause::kNone) {
       trip.emplace(
@@ -665,13 +684,26 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
     result.max_combinations_analyzed = std::max(
         result.max_combinations_analyzed, static_cast<u64>(work));
 
-    radix.resize(st.dependent.size());
-    st.stride.resize(st.dependent.size());
-    u64 prod = 1;
-    for (size_t k = 0; k < st.dependent.size(); ++k) {
+    // The table's layout: the consumer's digit at stride 1, then the rest
+    // in node-id order (see PositionState).
+    const size_t kd = st.dependent.size();
+    radix.resize(kd);
+    size_t consumer = 0;
+    for (size_t k = 0; k < kd; ++k) {
       radix[k] = static_cast<u32>(configs.at(st.dependent[k]).size());
-      st.stride[k] = prod;
-      prod *= radix[k];
+      if (order.pos[static_cast<size_t>(st.dependent[k])] <
+          order.pos[static_cast<size_t>(st.dependent[consumer])])
+        consumer = k;
+    }
+    // The digit at layout rank r (rank 0 has stride 1).
+    auto layout_digit = [&](size_t r) {
+      return r == 0 ? consumer : r - (r <= consumer);
+    };
+    st.stride.resize(kd);
+    u64 prod = 1;
+    for (size_t r = 0; r < kd; ++r) {
+      st.stride[layout_digit(r)] = prod;
+      prod *= radix[layout_digit(r)];
     }
     PASE_CHECK(static_cast<double>(prod) == combos);
     fill_phase.arg("substrategies", static_cast<i64>(prod));
@@ -697,116 +729,187 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
           price_cause);
       break;
     }
-    PASE_CHECK(std::all_of(
-        prices.later.begin(), prices.later.end(),
-        [&](const VertexPrices::LaterEdge& le) {
-          return std::binary_search(st.dependent.begin(), st.dependent.end(),
-                                    le.other);
-        }));
-
-    // Every X(j) in S(i) is a component of the connected X(i) - {v^(i)},
-    // so it neighbours v^(i), which comes after it: v^(i) is in D(j). An
-    // anchor's entry for (phi, C) thus sits at its index with v^(i)'s digit
-    // left out, plus C x (v^(i)'s stride in its table).
-    anchors.clear();
-    for (i64 j : st.anchors) {
-      const PositionState& sj = states[static_cast<size_t>(j)];
-      const auto& dj = sj.dependent;
-      const auto at = std::lower_bound(dj.begin(), dj.end(), vi);
-      PASE_CHECK(at != dj.end() && *at == vi);
-      anchors.push_back({&sj, sj.stride[static_cast<size_t>(at - dj.begin())]});
-      // Theory: D(j) is a subset of D(i) U {v^(i)} for X(j) in S(i).
-      for (NodeId d : dj)
-        PASE_CHECK(d == vi || std::binary_search(st.dependent.begin(),
-                                                 st.dependent.end(), d));
-    }
-
-    // Uninitialized: the reduce writes every slot exactly once.
-    st.size = prod;
-    st.cost = std::make_unique_for_overwrite<double[]>(prod);
-    st.argmin = std::make_unique_for_overwrite<u32[]>(prod);
-    table_bytes += prod * (sizeof(double) + sizeof(u32));
-    table_bytes_peak = std::max(table_bytes_peak, table_bytes);
-
-    // The min-plus reduce over the phi linear-index range [p0, p1): for
-    // each phi it accumulates H + sum R into a |C(v^(i))| array, then scans
-    // it for the first strict minimum and writes its cost and argmin to
-    // phi's own slot. Every C's sum is added in a fixed order — t_l, later
-    // edges in incident order, anchors in S(i) order — so the table is
-    // bit-identical however the range is split. `s` is the caller's
-    // scratch, one per worker in the parallel fan-out, so workers share no
-    // mutable state.
+    // The min-plus reduce, its set-up included. For each (phi, C) it sums
+    // 0.0 + t_l, then the later edges in incident order, then the anchors
+    // in S(i) order, and keeps the first strict minimum over C in
+    // enumeration order. Every slot is written once, from the same terms in
+    // the same order, so the table has the same bits however the odometer
+    // runs and however the fan-out splits its range.
     const size_t kc = vi_configs.size();
-    const double* const layer = prices.layer;
-    double* const cost_out = st.cost.get();
-    u32* const argmin_out = st.argmin.get();
-    auto process_range = [&](u64 p0, u64 p1, ReduceScratch& s) {
-      const size_t kd = st.dependent.size();
-      std::vector<u32>& cur = s.cur;
-      s.odo.resize(kd);
-      u32* const odo = s.odo.data();
-      for (size_t k = 0; k < kd; ++k) {
-        odo[k] = static_cast<u32>((p0 / st.stride[k]) % radix[k]);
-        cur[static_cast<size_t>(st.dependent[k])] = odo[k];
-      }
-      // The anchors' lookups below leave v^(i)'s digit out.
-      cur[static_cast<size_t>(vi)] = 0;
-      s.acc.resize(kc);
-      double* const acc = s.acc.data();
-      // Amortized abort check every ~8k *combinations* — counting phi
-      // indices would let a vertex with few substrategies but a huge
-      // configuration set blow far past the deadline between checks.
-      u64 combos_since_check = 0;
-      for (u64 idx = p0; idx < p1; ++idx) {
-        combos_since_check += kc;
-        if (combos_since_check >= 8192) {
-          combos_since_check = 0;
-          if (cancel.load(std::memory_order_relaxed)) return;
-          if (abort_cause() != DpResult::TripCause::kNone) {
-            cancel.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-
-        // 0.0 + t_l, not t_l: the sum starts at +0.0, so a -0.0 price
-        // enters it as +0.0.
-        for (size_t ci = 0; ci < kc; ++ci) acc[ci] = 0.0 + layer[ci];
-        for (const VertexPrices::LaterEdge& le : prices.later) {
-          const double* const col =
-              le.matrix +
-              static_cast<size_t>(cur[static_cast<size_t>(le.other)]) * kc;
-          for (size_t ci = 0; ci < kc; ++ci) acc[ci] += col[ci];
-        }
-        for (const Anchor& a : anchors) {
-          const double* const column =
-              a.state->cost.get() + a.state->index_of(cur);
-          for (size_t ci = 0; ci < kc; ++ci)
-            acc[ci] += column[ci * a.vi_stride];
-        }
-        double best = std::numeric_limits<double>::infinity();
-        u32 arg = 0;
-        for (size_t ci = 0; ci < kc; ++ci)
-          if (acc[ci] < best) {
-            best = acc[ci];
-            arg = static_cast<u32>(ci);
-          }
-        cost_out[idx] = best;
-        argmin_out[idx] = arg;
-
-        // Advance the odometer (digit k = dependent[k], stride order).
-        for (size_t k = 0; k < kd; ++k) {
-          if (++odo[k] < radix[k]) {
-            cur[static_cast<size_t>(st.dependent[k])] = odo[k];
-            break;
-          }
-          odo[k] = 0;
-          cur[static_cast<size_t>(st.dependent[k])] = 0;
-        }
-      }
-    };
-
     {
       PhaseScope reduce(trace, reduce_gauge, "reduce");
+
+      // Streams: later edges, then anchors. Every X(j) in S(i) is a
+      // component of the connected X(i) - {v^(i)}, so it neighbours v^(i),
+      // which comes after it: v^(i) is in D(j). No other member of D(j)
+      // comes before v^(i) (it would be in X(i) - {v^(i)}, next to X(j),
+      // so in X(j)), so v^(i) is table j's consumer, at stride 1, and phi
+      // picks one contiguous column of it.
+      const size_t nl = prices.later.size();
+      plan.base.clear();
+      for (const VertexPrices::LaterEdge& le : prices.later) {
+        PASE_CHECK(std::binary_search(st.dependent.begin(),
+                                      st.dependent.end(), le.other));
+        plan.base.push_back(le.matrix);
+      }
+      for (i64 j : st.anchors) {
+        const PositionState& sj = states[static_cast<size_t>(j)];
+        const auto& dj = sj.dependent;
+        const auto at = std::lower_bound(dj.begin(), dj.end(), vi);
+        PASE_CHECK(at != dj.end() && *at == vi &&
+                   sj.stride[static_cast<size_t>(at - dj.begin())] == 1);
+        // Theory: D(j) is a subset of D(i) U {v^(i)} for X(j) in S(i).
+        for (NodeId d : dj)
+          PASE_CHECK(d == vi || std::binary_search(st.dependent.begin(),
+                                                   st.dependent.end(), d));
+        plan.base.push_back(sj.cost.get());
+      }
+      const size_t ns = plan.base.size();
+      const size_t nw = ns + 1;  // the streams and the output slot
+      // Stream s's offset step for D(i)'s digit k; 0 if s does not read it.
+      auto stride_of = [&](size_t s, size_t k) -> u64 {
+        const NodeId d = st.dependent[k];
+        if (s == ns) return st.stride[k];
+        if (s < nl) return prices.later[s].other == d ? kc : 0;
+        const PositionState& sj =
+            states[static_cast<size_t>(st.anchors[s - nl])];
+        const auto at =
+            std::lower_bound(sj.dependent.begin(), sj.dependent.end(), d);
+        return at != sj.dependent.end() && *at == d
+                   ? sj.stride[static_cast<size_t>(at - sj.dependent.begin())]
+                   : 0;
+      };
+
+      // The innermost digit is the one whose first dependent stream comes
+      // last, leaving the longest prefix to hoist; ties go to the larger
+      // radix (fewer blocks). The other digits follow in the table's own
+      // layout order. A vertex with an empty D(i) runs one digit of radix
+      // 1 that no stream reads.
+      size_t inner = 0;
+      plan.split = ns;
+      for (size_t k = 0; k < kd; ++k) {
+        size_t s = 0;
+        while (s < ns && stride_of(s, k) == 0) ++s;
+        if (k == 0 || s > plan.split ||
+            (s == plan.split && radix[k] > radix[inner])) {
+          inner = k;
+          plan.split = s;
+        }
+      }
+      const size_t nd = std::max<size_t>(kd, 1);
+      plan.radix.assign(nd, 1);
+      plan.step.assign(nd * nw, 0);
+      size_t m = 0;
+      auto add_digit = [&](size_t k) {
+        plan.radix[m] = radix[k];
+        for (size_t s = 0; s < nw; ++s) plan.step[m * nw + s] = stride_of(s, k);
+        ++m;
+      };
+      if (kd > 0) add_digit(inner);
+      for (size_t r = 0; r < kd; ++r)
+        if (const size_t k = layout_digit(r); k != inner) add_digit(k);
+      plan.carry.assign(nd * nw, 0);
+      for (size_t s = 0; s < nw; ++s) {
+        u64 wrapped = plan.radix[0] * plan.step[s];
+        for (size_t d = 1; d < nd; ++d) {
+          plan.carry[d * nw + s] = plan.step[d * nw + s] - wrapped;
+          wrapped += (plan.radix[d] - 1) * plan.step[d * nw + s];
+        }
+      }
+
+      // Uninitialized: the reduce writes every slot exactly once.
+      st.size = prod;
+      st.cost = std::make_unique_for_overwrite<double[]>(prod);
+      st.argmin = std::make_unique_for_overwrite<u32[]>(prod);
+      table_bytes += prod * (sizeof(double) + sizeof(u32));
+      table_bytes_peak = std::max(table_bytes_peak, table_bytes);
+
+      // The reduce over the odometer range [p0, p1). Each block of the
+      // innermost digit adds the prefix once; each phi adds the remaining
+      // streams' columns to it, scans the sum and writes its slot; then
+      // every offset moves by one add. `s` is the caller's scratch, one per
+      // worker in the parallel fan-out, so workers share no mutable state.
+      const double* const layer = prices.layer;
+      double* const cost_out = st.cost.get();
+      u32* const argmin_out = st.argmin.get();
+      auto process_range = [&](u64 p0, u64 p1, ReduceScratch& s) {
+        const size_t split = plan.split;
+        const double* const* const base = plan.base.data();
+        const u64* const step0 = plan.step.data();
+        s.odo.resize(nd);
+        s.off.assign(nw, 0);
+        s.pre.resize(kc);
+        s.acc.resize(kc);
+        u32* const odo = s.odo.data();
+        u64* const off = s.off.data();
+        double* const pre = s.pre.data();
+        double* const acc = s.acc.data();
+        u64 rest = p0;
+        for (size_t d = 0; d < nd; ++d) {
+          odo[d] = static_cast<u32>(rest % plan.radix[d]);
+          rest /= plan.radix[d];
+          for (size_t w = 0; w < nw; ++w)
+            off[w] += u64{odo[d]} * plan.step[d * nw + w];
+        }
+        // Amortized abort check every ~8k *combinations* — counting phi
+        // indices would let a vertex with few substrategies but a huge
+        // configuration set blow far past the deadline between checks.
+        u64 combos_since_check = 0;
+        u64 idx = p0;
+        u64 left_in_block = plan.radix[0] - odo[0];
+        for (;;) {
+          // 0.0 + t_l, not t_l: the sum starts at +0.0, so a -0.0 price
+          // enters it as +0.0. A chunk may start mid-block, so the prefix
+          // is also formed at its first phi.
+          for (size_t ci = 0; ci < kc; ++ci) pre[ci] = 0.0 + layer[ci];
+          for (size_t w = 0; w < split; ++w) {
+            const double* const col = base[w] + off[w];
+            for (size_t ci = 0; ci < kc; ++ci) pre[ci] += col[ci];
+          }
+          for (const u64 end = std::min(p1, idx + left_in_block); idx < end;
+               ++idx) {
+            combos_since_check += kc;
+            if (combos_since_check >= 8192) {
+              combos_since_check = 0;
+              if (cancel.load(std::memory_order_relaxed)) return;
+              if (abort_cause() != DpResult::TripCause::kNone) {
+                cancel.store(true, std::memory_order_relaxed);
+                return;
+              }
+            }
+
+            const double* sum = pre;
+            if (split < ns) {
+              const double* col = base[split] + off[split];
+              for (size_t ci = 0; ci < kc; ++ci) acc[ci] = pre[ci] + col[ci];
+              for (size_t w = split + 1; w < ns; ++w) {
+                col = base[w] + off[w];
+                for (size_t ci = 0; ci < kc; ++ci) acc[ci] += col[ci];
+              }
+              sum = acc;
+            }
+            double best = std::numeric_limits<double>::infinity();
+            u32 arg = 0;
+            for (size_t ci = 0; ci < kc; ++ci)
+              if (sum[ci] < best) {
+                best = sum[ci];
+                arg = static_cast<u32>(ci);
+              }
+            cost_out[off[ns]] = best;
+            argmin_out[off[ns]] = arg;
+            // The prefix streams do not read digit 0: their steps are 0.
+            for (size_t w = split; w < nw; ++w) off[w] += step0[w];
+          }
+          if (idx == p1) return;
+          // Digit 0 ran its block: carry into the next digit that does not
+          // wrap (one exists, as idx < p1 <= the table size).
+          size_t d = 1;
+          while (++odo[d] == plan.radix[d]) odo[d++] = 0;
+          for (size_t w = 0; w < nw; ++w) off[w] += plan.carry[d * nw + w];
+          left_in_block = plan.radix[0];
+        }
+      };
+
       if (pool && prod > 1 &&
           static_cast<u64>(work) >= kParallelWorkThreshold) {
         // Chunk the phi range by index only — the decomposition (and hence
@@ -817,7 +920,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
             0, static_cast<i64>(prod), grain,
             [&](i64 b0, i64 b1) {
               ReduceScratch s;
-              s.cur.assign(static_cast<size_t>(n), 0);
               process_range(static_cast<u64>(b0), static_cast<u64>(b1), s);
             },
             &cancel);
@@ -896,7 +998,6 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
 
     result.best_cost = 0.0;
     result.strategy.assign(static_cast<size_t>(n), Config{});
-    std::fill(seq.cur.begin(), seq.cur.end(), 0);
     for (i64 root : roots) {
       const PositionState& st = states[static_cast<size_t>(root)];
       PASE_CHECK(st.dependent.empty());
@@ -904,7 +1005,7 @@ DpResult find_best_strategy(const Graph& graph, const DpOptions& options) {
       result.best_cost += st.cost[0];
       // Back-substitution (paper: "a simple back-substitution, starting from
       // v^(|V|).cfg, provides the best strategy").
-      extract(states, order, configs, root, seq.cur, result.strategy);
+      extract(states, order, configs, root, cur, result.strategy);
     }
     for (const Config& c : result.strategy)
       PASE_CHECK_MSG(c.rank() > 0, "extraction must assign every node");

@@ -21,9 +21,11 @@
 //            per-configuration factors are built once, when the table is
 //            allocated, and a row is one transfer_cost_row sweep over
 //            C(v^(i)) (cost/cost_model.h);
-//   reduce   a min-plus kernel that, for one phi at a time, adds those
-//            prices and the anchors' R values into a |C(v^(i))| array and
-//            keeps its first strict minimum.
+//   reduce   a min-plus kernel, one loop nest over D(i): its odometer
+//            carries the offset of each price column and each anchor's R
+//            column, the part of the sum the innermost digit cannot change
+//            is added once per block, and each phi keeps the first strict
+//            minimum of its |C(v^(i))| sums.
 // A table is two dense arrays indexed by the configuration choices of the
 // dependent-set nodes: the costs, released once the one vertex that reads
 // them has reduced, and the argmins, which back-substitution reads. The

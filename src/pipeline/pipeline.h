@@ -76,8 +76,12 @@ struct PipelinedSearchResult {
   /// Eq. (1) evaluation, max_configs and max_dependent_set the largest over
   /// the stage solves, threads_used the solver's, elapsed_seconds the whole
   /// search's wall time. kInfeasible when no partition exists (no interval
-  /// solve succeeded, or too many stages for the graph); kOutOfMemory when
-  /// the cancellation token fired during the interval solves.
+  /// solve succeeded, or too many stages for the graph). When any solve of
+  /// the search tripped a guard or the deadline, or never ran because the
+  /// deadline was spent, kDegraded with a guard_reason naming the pipeline
+  /// partition, and, if the trip left no partition whole, the single-stage
+  /// solve's strategy (stages == 1); kOutOfMemory, with no strategy, under
+  /// the cancellation token or without DpOptions::degraded_fallback.
   DpResult dp;
   i64 stages = 1;
   i64 devices_per_stage = 0;
@@ -85,14 +89,17 @@ struct PipelinedSearchResult {
   std::vector<PipelineStage> stage_details;
   double bottleneck_seconds = 0.0;   ///< slowest stage, steady state
   double step_seconds = 0.0;         ///< pipeline step estimate (fill/drain in)
-  double no_pipeline_seconds = 0.0;  ///< single-stage reference
+  /// Single-stage reference; 0 unless its solve was exact.
+  double no_pipeline_seconds = 0.0;
 };
 
 /// Searches the pipeline-stage dimension. `solver.config_options
 /// .max_devices` is overridden per stage; all other solver options (cost
 /// params, split-dim gates, threads, guards) thread through to every stage
-/// solve. With popts.stages == 1 this is find_best_strategy plus the
-/// derived seconds fields — the disabled-dimension bitwise contract.
+/// solve, except that `solver.deadline_seconds` bounds the whole search:
+/// each solve gets what remains of it, and none starts once it is spent.
+/// With popts.stages == 1 this is find_best_strategy plus the derived
+/// seconds fields — the disabled-dimension bitwise contract.
 PipelinedSearchResult find_best_pipelined_strategy(
     const Graph& graph, const MachineSpec& m, const DpOptions& solver,
     const PipelineSearchOptions& popts);

@@ -34,18 +34,24 @@ TEST(Determinism, DpSolverIdenticalAcrossThreadCounts) {
       {"transformer", models::transformer()},
       {"transformer_stack_16", models::transformer_stack(16)},
   };
+  // 3 threads: the fan-out's grain is then no multiple of the reduce's
+  // innermost radix, so chunks start mid-block.
   for (const Case& c : cases) {
-    const DpResult base = find_best_strategy(c.graph, options_for(8, 1));
-    for (const i64 threads : {2, 8}) {
-      const DpResult r = find_best_strategy(c.graph, options_for(8, threads));
-      ASSERT_EQ(r.status, base.status) << c.name << " threads=" << threads;
-      // Exact double equality on purpose: the contract is bit-identical,
-      // not approximately equal.
-      EXPECT_EQ(r.best_cost, base.best_cost)
-          << c.name << " threads=" << threads;
-      EXPECT_EQ(r.strategy, base.strategy)
-          << c.name << " threads=" << threads;
-      EXPECT_EQ(r.threads_used, threads) << c.name;
+    for (const i64 p : {8, 64}) {
+      const DpResult base = find_best_strategy(c.graph, options_for(p, 1));
+      for (const i64 threads : {2, 3, 8}) {
+        const DpResult r =
+            find_best_strategy(c.graph, options_for(p, threads));
+        ASSERT_EQ(r.status, base.status)
+            << c.name << " p=" << p << " threads=" << threads;
+        // Exact double equality on purpose: the contract is bit-identical,
+        // not approximately equal.
+        EXPECT_EQ(r.best_cost, base.best_cost)
+            << c.name << " p=" << p << " threads=" << threads;
+        EXPECT_EQ(r.strategy, base.strategy)
+            << c.name << " p=" << p << " threads=" << threads;
+        EXPECT_EQ(r.threads_used, threads) << c.name;
+      }
     }
   }
 }

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
+#include "core/strategy.h"
 #include "cost/cost_model.h"
 #include "models/models.h"
 #include "obs/metrics.h"
 #include "pipeline/pipeline.h"
 #include "search/baselines.h"
+#include "util/timer.h"
 
 namespace pase {
 namespace {
@@ -240,6 +243,36 @@ TEST(PipelineSearch, SecondsUseTheCostModelsFlopScale) {
               plain.best_cost / solver.cost_params.seconds_to_flops)
         << "stages=" << stages;
   }
+}
+
+TEST(PipelineSearch, DeadlineTripIsOnTime) {
+  // The searched stage count solves hundreds of intervals; the deadline
+  // bounds the whole search, not each solve. InceptionV3 at p = 64 on one
+  // thread needs seconds for every interval, so a 50 ms search must trip,
+  // answer degraded with a reason naming the partition, and come back
+  // within 3x the deadline (min of 3, as the solver's *IsOnTime gates).
+  const MachineSpec m = MachineSpec::gtx1080ti(64);
+  const Graph g = models::inception_v3();
+  DpOptions solver = search_solver(m);
+  solver.deadline_seconds = 0.05;
+  solver.degraded_fallback = true;
+  PipelineSearchOptions popts;
+  popts.stages = 0;
+  const CostModel cm(g, solver.cost_params);
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int run = 0; run < 3; ++run) {
+    const WallTimer timer;
+    const PipelinedSearchResult r =
+        find_best_pipelined_strategy(g, m, solver, popts);
+    fastest = std::min(fastest, timer.elapsed_seconds());
+    ASSERT_EQ(r.dp.status, DpStatus::kDegraded) << r.dp.guard_reason;
+    EXPECT_EQ(r.dp.trip_cause, DpResult::TripCause::kDeadline);
+    EXPECT_NE(r.dp.guard_reason.find("pipeline partition"), std::string::npos)
+        << r.dp.guard_reason;
+    EXPECT_TRUE(strategy_valid(g, r.dp.strategy, solver.config_options));
+    EXPECT_EQ(cm.total_cost(r.dp.strategy), r.dp.best_cost);
+  }
+  EXPECT_LT(fastest, 3 * solver.deadline_seconds);
 }
 
 TEST(Pipeline, SingleStageEqualsPureStrategySearch) {

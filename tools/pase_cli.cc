@@ -561,12 +561,17 @@ int main(int argc, char** argv) {
     return kExitInfeasible;
   }
   if (r.status == DpStatus::kDegraded) {
+    // A pipelined search degrades also when its strategy came from exact
+    // stage solves, because another solve of the search tripped.
     std::printf("*** DEGRADED STRATEGY ***\n"
-                "The exact search could not finish: %s.\n"
-                "Falling back to beam search (width %lld); the strategy "
-                "below is valid but\nmay be suboptimal.\n\n",
-                r.guard_reason.c_str(),
-                static_cast<long long>(r.beam_width_used));
+                "The exact search could not finish: %s.\n",
+                r.guard_reason.c_str());
+    if (r.beam_width_used > 0)
+      std::printf("Falling back to beam search (width %lld); the strategy "
+                  "below is valid but\nmay be suboptimal.\n\n",
+                  static_cast<long long>(r.beam_width_used));
+    else
+      std::printf("The strategy below is valid but may be suboptimal.\n\n");
   }
 
   const std::string title =
@@ -596,8 +601,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.max_configs),
                 static_cast<long long>(r.max_dependent_set),
                 r.elapsed_seconds * 1e3,
-                r.status == DpStatus::kDegraded ? "   [degraded: beam search]"
-                                                : "");
+                r.status != DpStatus::kDegraded ? ""
+                : r.beam_width_used > 0         ? "   [degraded: beam search]"
+                                                : "   [degraded]");
     std::printf("threads: %lld\n", static_cast<long long>(r.threads_used));
   }
   std::printf("comm model: %s", comm_model_kind_name(comm_kind));
@@ -629,16 +635,23 @@ int main(int argc, char** argv) {
                     : "");
   }
   if (pipeline_given) {
-    if (pipelined.stages > 1)
+    if (pipelined.stages > 1) {
       std::printf("pipeline: bottleneck %.2f ms, step %.2f ms (%lld "
-                  "micro-batches), no-pipeline %.2f ms, gain %.2fx\n",
+                  "micro-batches), ",
                   pipelined.bottleneck_seconds * 1e3,
                   pipelined.step_seconds * 1e3,
-                  static_cast<long long>(pipeline_microbatches),
-                  pipelined.no_pipeline_seconds * 1e3,
-                  pipelined.no_pipeline_seconds / pipelined.step_seconds);
-    else
+                  static_cast<long long>(pipeline_microbatches));
+      // No gain is claimed against a single-stage reference that did not
+      // solve exactly (no_pipeline_seconds 0).
+      if (pipelined.no_pipeline_seconds > 0.0)
+        std::printf("no-pipeline %.2f ms, gain %.2fx\n",
+                    pipelined.no_pipeline_seconds * 1e3,
+                    pipelined.no_pipeline_seconds / pipelined.step_seconds);
+      else
+        std::printf("no exact single-stage reference\n");
+    } else {
       std::printf("pipeline: 1 stage (no pipelining)\n");
+    }
   }
   std::printf("analytical cost: %.4g FLOP-equiv   simulated step: %.2f ms   "
               "per-device memory: %.2f GB\n",
